@@ -1,9 +1,13 @@
 """Vehicle models that carry the probe point between measurements.
 
 Each plant turns a requested displacement into a control schedule that is
-feasible within one sampling period (`steer`) and integrates its continuous
-dynamics along that schedule with fixed-step RK4 (`integrate`).  Three models
-are provided:
+feasible within one sampling period (`steer`) and flows its continuous
+dynamics along that schedule (`integrate`).  Every segment `steer` emits has
+a closed-form flow, which `integrate` evaluates exactly; fixed-step RK4 is
+kept as the reference and integrates the generic Dubins arcs (speed and turn
+rate both non-zero) that have none.  A plant's ``substeps`` per period set
+the spacing of the dense rows `integrate` can collect and the RK4 resolution.
+Three models are provided:
 
 - ``PointMassPlant``: velocity-actuated integrator, x' = u.
 - ``DubinsPlant``: planar unicycle (x1' = s cos zeta, x2' = s sin zeta,
@@ -88,7 +92,10 @@ def _rk4_segment(
     t0: float = 0.0,
 ) -> tuple[float, ...]:
     """Classic fixed-step RK4 over one segment; appends (t, y) to ``collect``
-    after every substep when given.  Plain-float arithmetic for speed."""
+    after every substep when given.  Plain-float arithmetic for speed.
+
+    This is the reference the closed-form flows are checked against, and the
+    integrator for generic Dubins arcs, whose flow has no closed form here."""
     h = duration / nsteps
     y = y0
     dim = len(y0)
@@ -104,6 +111,27 @@ def _rk4_segment(
         )
         if collect is not None:
             collect.append((t0 + (step + 1) * h, y))
+    return y
+
+
+def _exact_segment(
+    flow: Callable[[tuple[float, ...], float], tuple[float, ...]],
+    y0: tuple[float, ...],
+    duration: float,
+    nsteps: int,
+    collect: Optional[list] = None,
+    t0: float = 0.0,
+) -> tuple[float, ...]:
+    """Closed-form flow over one segment, ``flow(y0, s)`` being the state
+    after time ``s``.  When ``collect`` is given, appends (t, y) at the same
+    substep times as `_rk4_segment`; the last row is the returned endpoint
+    itself, so collecting never changes the result."""
+    y = flow(y0, duration)
+    if collect is not None:
+        h = duration / nsteps
+        for step in range(1, nsteps):
+            collect.append((t0 + step * h, flow(y0, step * h)))
+        collect.append((t0 + nsteps * h, y))
     return y
 
 
@@ -148,9 +176,12 @@ class PointMassPlant:
         y = tuple(float(v) for v in xi.x)
         t = 0.0
         for seg in schedule:
-            u = seg.controls
             nsteps = max(1, round(self.substeps * seg.duration / tau_star))
-            y = _rk4_segment(lambda s: u, y, seg.duration, nsteps, collect, t)
+
+            def line(y0, s, _u=seg.controls):
+                return tuple(a + s * b for a, b in zip(y0, _u))
+
+            y = _exact_segment(line, y, seg.duration, nsteps, collect, t)
             t += seg.duration
         _check_finite(y)
         return PlantState(np.array(y))
@@ -227,12 +258,22 @@ class DubinsPlant:
         t = 0.0
         for seg in schedule:
             speed, turn = seg.controls
-
-            def deriv(s, _v=speed, _u=turn):
-                return (_v * math.cos(s[2]), _v * math.sin(s[2]), _u)
-
             nsteps = max(1, round(self.substeps * seg.duration / tau_star))
-            y = _rk4_segment(deriv, y, seg.duration, nsteps, collect, t)
+            if speed == 0.0 or turn == 0.0:
+                # Turn in place or run straight: the heading or the position
+                # is constant, so the flow has a closed form.
+                cos_h, sin_h = math.cos(y[2]), math.sin(y[2])
+
+                def line(y0, s, _v=speed, _u=turn, _c=cos_h, _s=sin_h):
+                    return (y0[0] + _v * s * _c, y0[1] + _v * s * _s, y0[2] + _u * s)
+
+                y = _exact_segment(line, y, seg.duration, nsteps, collect, t)
+            else:
+
+                def deriv(s, _v=speed, _u=turn):
+                    return (_v * math.cos(s[2]), _v * math.sin(s[2]), _u)
+
+                y = _rk4_segment(deriv, y, seg.duration, nsteps, collect, t)
             t += seg.duration
         _check_finite(y)
         return PlantState(np.array([y[0], y[1]]), np.array([wrap_angle(y[2])]))
@@ -290,10 +331,11 @@ def steer(plant, xi: PlantState, target, tau_star: float):
 
 
 def integrate(plant, xi: PlantState, schedule, tau_star: float, collect=None):
-    """Integrate the plant along a schedule with fixed-step RK4.
+    """Flow the plant along a schedule: exactly where the segment's flow has
+    a closed form, with fixed-step RK4 otherwise.
 
     ``collect``, when given, receives ``(t, state_tuple)`` rows after every
-    substep.  Returns the final `PlantState`.
+    substep and never changes the result.  Returns the final `PlantState`.
     """
     return plant.integrate(xi, schedule, tau_star, collect)
 

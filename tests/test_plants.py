@@ -1,13 +1,14 @@
 """Tests for the continuous-time plants: point mass, unicycle (turn-rate
 limited), the idealized algebraic plant, and the steering/integration
 contracts they share."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from directseek import plants
+from directseek import cli, plants
 from directseek.plants import (
     DubinsPlant,
     ExactPlant,
@@ -55,7 +56,7 @@ class TestPointMass:
         assert_allclose(predicted.x, [0.1, 0.0], rtol=1e-15)
 
     def test_integration_is_exact(self):
-        # linear dynamics: RK4 reproduces x + u * tau to rounding
+        # linear dynamics: the flow lands on x + u * tau to rounding
         pm = PointMassPlant(dimension=2)
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -211,6 +212,107 @@ class TestDubinsIntegration:
         assert times == sorted(times)
         # each row carries (time, raw state tuple (x0, x1, heading))
         assert_allclose(seen[-1][1][:2], [1.0, 0.0], atol=1e-12)
+
+
+def rk4_reference(plant, xi, schedule, tau_star):
+    """Raw end state of ``schedule`` under `_rk4_segment` at 100 substeps per
+    period, whatever flow the plant itself uses."""
+    if isinstance(plant, DubinsPlant):
+        y = (float(xi.x[0]), float(xi.x[1]), float(xi.zeta[0]))
+    else:
+        y = tuple(float(v) for v in xi.x)
+    for seg in schedule:
+        if isinstance(plant, DubinsPlant):
+            speed, turn = seg.controls
+
+            def deriv(s, _v=speed, _u=turn):
+                return (_v * math.cos(s[2]), _v * math.sin(s[2]), _u)
+        else:
+
+            def deriv(s, _u=seg.controls):
+                return _u
+
+        nsteps = max(1, round(100 * seg.duration / tau_star))
+        y = plants._rk4_segment(deriv, y, seg.duration, nsteps)
+    return y
+
+
+def steered_cases():
+    """(plant, start, schedule) triples from the plants' own steering: point
+    mass moves, Dubins turn-then-run moves, the Dubins hold and a Dubins turn
+    across the +/-pi branch cut."""
+    rng = np.random.default_rng(11)
+    pm = PointMassPlant(dimension=3)
+    db = DubinsPlant(v_max=10.0, u_max=80.0)
+    cases = []
+    for _ in range(50):
+        xi = PlantState(x=rng.uniform(-2, 2, size=3))
+        cases.append((pm, xi, steer(pm, xi, rng.uniform(-1, 1, size=3), TAU)[0]))
+    for _ in range(50):
+        xi = PlantState(x=rng.uniform(-2, 2, size=2),
+                        zeta=np.array([rng.uniform(-math.pi, math.pi)]))
+        schedule, _ = steer(db, xi, rng.uniform(-0.04, 0.04, size=2), TAU)
+        assert len(schedule) == 2
+        assert schedule[0].controls[0] == 0.0 and schedule[1].controls[1] == 0.0
+        cases.append((db, xi, schedule))
+    hold = PlantState(x=np.array([0.3, -0.2]), zeta=np.array([1.0]))
+    cases.append((db, hold, steer(db, hold, np.zeros(2), TAU)[0]))
+    cut = PlantState(x=np.array([0.1, 0.2]), zeta=np.array([math.pi - 0.01]))
+    schedule, _ = steer(db, cut, np.array([-0.02, -0.02]), TAU)
+    turn = schedule[0]
+    # the turn ends past +pi, so the raw heading leaves (-pi, pi]
+    assert math.pi - 0.01 + turn.controls[1] * turn.duration > math.pi
+    cases.append((db, cut, schedule))
+    return cases
+
+
+class TestExactFlow:
+    def test_agrees_with_rk4_reference(self):
+        for plant, xi, schedule in steered_cases():
+            out = integrate(plant, xi, schedule, TAU)
+            ref = rk4_reference(plant, xi, schedule, TAU)
+            n = out.x.shape[0]
+            assert_allclose(out.x, ref[:n], rtol=0.0, atol=1e-12)
+            if isinstance(plant, DubinsPlant):
+                assert abs(wrap_angle(out.zeta[0] - ref[2])) <= 1e-12
+
+
+class TestCollectInvariance:
+    def test_endpoint_unchanged_by_collect(self):
+        for plant, xi, schedule in steered_cases():
+            plain = integrate(plant, xi, schedule, TAU)
+            rows: list = []
+            dense = integrate(plant, xi, schedule, TAU, collect=rows)
+            assert_array_equal(dense.x, plain.x)
+            assert_array_equal(dense.zeta, plain.zeta)
+            assert len(rows) == plant.substeps
+            times = [t for t, _ in rows]
+            assert times == sorted(times)
+            assert_allclose(times[-1], TAU, rtol=1e-12)
+            last = rows[-1][1]
+            n = plain.x.shape[0]
+            assert_array_equal(last[:n], plain.x)
+            if isinstance(plant, DubinsPlant):
+                assert wrap_angle(last[2]) == plain.zeta[0]
+
+    @pytest.mark.parametrize(
+        "scenario", ["fig1_quadratic_pointmass", "fig2_rosenbrock_dubins"]
+    )
+    def test_closed_loop_jumps_unchanged_by_flow_samples(self, scenario):
+        base = cli.scenario_config(scenario)
+        jumps = {}
+        for samples in (0, 3):
+            config = dataclasses.replace(
+                base, stop={"max_jumps": 300}, flow_samples_per_period=samples
+            )
+            arc, _ = cli.run_experiment(config, None)
+            jumps[samples] = [
+                (s.t, s.j, s.case, s.measured, s.plant.x.tobytes(),
+                 s.plant.zeta.tobytes())
+                for s in arc.jump_samples()
+            ]
+        assert len(jumps[0]) == 300
+        assert jumps[3] == jumps[0]
 
 
 class TestExactPlant:
