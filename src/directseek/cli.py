@@ -353,8 +353,7 @@ def run_experiment(
             ) as fp:
                 writer = csv.writer(fp, lineterminator="\n")
                 writer.writerow(["k", "value"])
-                for k, value in enumerate(model.history, start=1):
-                    writer.writerow([k, repr(float(value))])
+                writer.writerows(enumerate(map(float, model.history), start=1))
     return arc, summary
 
 

@@ -34,6 +34,7 @@ from .core import (
     AlgorithmConfig,
     ConfigError,
     StopRule,
+    direction_determinant,
     rho,
     validate_config,
 )
@@ -99,6 +100,10 @@ class ControllerState:
     ``p`` the probe sign, ``m`` the pending-re-measure flag, ``q`` the
     line-minimization phase counter, ``k`` the cycle slot counter, ``z`` the
     incumbent measured value, ``phi`` the frame scale, ``tau`` the timer.
+
+    States are treated as immutable: `jump` returns a new state sharing the
+    unchanged arrays with its input, and `ArcSample`s hold the loop's states,
+    not copies.  `copy` is a deep copy.
     """
 
     tau: float
@@ -228,24 +233,26 @@ def phi_update(
     accepts); otherwise the oldest direction ``d0`` is recycled, making the
     whole update a pure rotation of the direction list.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    candidate = alpha + beta
-    rows = [np.asarray(d, dtype=float) for d in trailing_dirs] + [candidate]
-    mat = np.array(rows, dtype=float)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(
-            f"direction matrix must be square, got shape {mat.shape}"
-        )
-    det = float(mat[0, 0]) if mat.shape == (1, 1) else float(np.linalg.det(mat))
+    candidate = np.asarray(alpha, dtype=float) + np.asarray(beta, dtype=float)
+    det = direction_determinant([*trailing_dirs, candidate])
     if abs(det) >= delta_det:
         return candidate
     return np.asarray(d0, dtype=float).copy()
 
 
-def _g1(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
-    """Positive-side accept: bank the step, expand, enter phase 1."""
-    new = xc.copy()
+def _next(xc: ControllerState) -> ControllerState:
+    """Shallow clone for a jump map to overwrite: a fresh ``deltas`` list,
+    every array shared with ``xc`` (no code mutates one in place)."""
+    new = object.__new__(ControllerState)
+    new.__dict__.update(xc.__dict__)
+    new.deltas = list(xc.deltas)
+    return new
+
+
+def _accept(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
+    """Accept on either side (D1, D4): bank the step, expand, enter phase 1
+    (a negative-side accept is already in it)."""
+    new = _next(xc)
     a = _slot(xc.k, xc.dimension)
     new.tau = 0.0
     new.z = y
@@ -258,7 +265,7 @@ def _g1(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
 
 def _g2(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
     """Probe failed: flip the probe sign and schedule a re-measure."""
-    new = xc.copy()
+    new = _next(xc)
     new.tau = 0.0
     new.p = -xc.p
     new.m = 1
@@ -268,23 +275,11 @@ def _g2(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
 
 def _g3(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
     """Back at the anchor: re-anchor the incumbent and resume probing."""
-    new = xc.copy()
+    new = _next(xc)
     new.tau = 0.0
     new.z = y
     new.m = 0
     new.lam = 0.0
-    return new
-
-
-def _g4(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
-    """Negative-side accept: like the positive case, phase already 1."""
-    new = xc.copy()
-    a = _slot(xc.k, xc.dimension)
-    new.tau = 0.0
-    new.z = y
-    new.lam = xc.lam + xc.delta * xc.p
-    new.delta = min(cfg.gamma * xc.delta, cfg.lambda_t * xc.phi)
-    new.deltas[a] = min(cfg.gamma * xc.deltas[a], cfg.lambda_t * xc.phi)
     return new
 
 
@@ -300,10 +295,10 @@ def _g5(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
     n = xc.dimension
     c = xc.k
     a = _slot(c, n)
-    pre = list(xc.deltas)
+    pre = xc.deltas
     blocked_lm = abs(xc.lam) <= pre[a] / 2.0
 
-    new = xc.copy()
+    new = _next(xc)
     new.tau = 0.0
     new.z = y
     new.lam = 0.0
@@ -317,7 +312,7 @@ def _g5(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
         new.alpha = xc.alpha + xc.lam * xc.v
         new.alpha_bar = xc.alpha_bar + abs(xc.lam) * float(np.linalg.norm(xc.v))
         new.k = c + 1
-        new.v = xc.dirs[c].copy()
+        new.v = xc.dirs[c]
         new.delta = pre[c]
         return new
 
@@ -347,9 +342,9 @@ def _g5(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
         shifted = []
         new_step = clip(d_last)
 
-    new.dirs = [d.copy() for d in xc.dirs[1:]] + [new_dir]
+    new.dirs = xc.dirs[1:] + [new_dir]
     new.deltas = shifted + [new_step]
-    new.v = new_dir.copy()
+    new.v = new_dir
     new.delta = new_step
     new.phi = phi_new
     new.alpha = np.zeros(n)
@@ -359,10 +354,10 @@ def _g5(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
 
 
 _JUMP_MAPS: dict[JumpCase, Callable] = {
-    JumpCase.D1: _g1,
+    JumpCase.D1: _accept,
     JumpCase.D2: _g2,
     JumpCase.D3: _g3,
-    JumpCase.D4: _g4,
+    JumpCase.D4: _accept,
     JumpCase.D5: _g5,
 }
 
@@ -403,7 +398,9 @@ class ArcSample:
     """One logged point of the closed-loop trajectory.
 
     Jump rows carry the measured value and the jump case; the initial row
-    and intra-period flow rows leave both unset.
+    and intra-period flow rows leave both unset.  ``plant``/``controller``
+    are the loop's (never mutated) states, not copies: a jump row and the
+    next period's intra-period rows share one controller state.
     """
 
     t: float
@@ -432,8 +429,9 @@ class HybridArc:
         """Write the arc as CSV with columns
         ``t, j, case, x0..x{n-1}, f, z, phi, delta, k, q, p, m``.
 
-        Floats are emitted with ``repr`` (shortest round-trip form) so equal
-        runs produce byte-identical files.
+        Floats are emitted with ``repr`` (shortest round-trip form, which is
+        how the csv module formats a Python float) so equal runs produce
+        byte-identical files.
         """
         import csv
 
@@ -444,22 +442,13 @@ class HybridArc:
             + [f"x{i}" for i in range(n)]
             + ["f", "z", "phi", "delta", "k", "q", "p", "m"]
         )
-        for s in self.samples:
-            xc = s.controller
-            writer.writerow(
-                [repr(float(s.t)), s.j, s.case.value if s.case else ""]
-                + [repr(float(v)) for v in s.plant.x]
-                + [
-                    repr(float(s.measured)) if s.measured is not None else "",
-                    repr(float(xc.z)),
-                    repr(float(xc.phi)),
-                    repr(float(xc.delta)),
-                    xc.k,
-                    xc.q,
-                    xc.p,
-                    xc.m,
-                ]
-            )
+        writer.writerows(
+            [float(s.t), s.j, s.case.value if s.case else "", *s.plant.x.tolist(),
+             "" if s.measured is None else float(s.measured),
+             float(xc.z), float(xc.phi), float(xc.delta), xc.k, xc.q, xc.p, xc.m]
+            for s in self.samples
+            for xc in (s.controller,)
+        )
 
 
 def run_closed_loop(
@@ -477,12 +466,16 @@ def run_closed_loop(
     Each period: steer the plant through ``p * delta * v``, integrate its
     dynamics for exactly ``tau_star``, measure the field once at the period
     boundary (plus noise), classify and apply the jump.  Jump times are exact
-    multiples of the period.  ``flow_samples_per_period`` > 0 additionally
-    logs that many evenly spaced intra-period rows.
+    multiples of the period.  ``flow_samples_per_period = F > 0`` also logs
+    the plant's dense rows ``i * (rows // (F + 1)) - 1``, ``i = 1..F``: with
+    evenly spaced rows (point mass) at ``(j + i / (F + 1)) * tau_star`` in
+    period ``j``.  Samples share the loop's states; ``xi0``/``xc0`` are
+    copied once on entry.
 
     Raises `ConfigError` on invalid configuration; robust mode
     (``phi_min > 0``) additionally requires the initial direction set to
-    clear the determinant safeguard.
+    clear the determinant safeguard.  Raises `ValueError` when the plant
+    emits fewer than ``F + 1`` dense rows a period (`ExactPlant` emits one).
     """
     violations = validate_config(cfg)
     if violations:
@@ -494,8 +487,7 @@ def run_closed_loop(
     ):
         raise ValueError("stop rule has no limits set; the run would never end")
     if cfg.phi_min > 0.0:
-        mat = np.array(xc0.dirs, dtype=float)
-        det = float(mat[0, 0]) if mat.shape == (1, 1) else float(np.linalg.det(mat))
+        det = direction_determinant(xc0.dirs)
         if abs(det) < cfg.delta_det:
             raise ConfigError(
                 [
@@ -507,7 +499,7 @@ def run_closed_loop(
     xi = xi0.copy()
     xc = xc0.copy()
     arc = HybridArc()
-    arc.samples.append(ArcSample(t=0.0, j=0, plant=xi.copy(), controller=xc.copy()))
+    arc.samples.append(ArcSample(t=0.0, j=0, plant=xi, controller=xc))
     j = 0
     max_jumps = stop.max_jumps
     if stop.max_evaluations is not None:
@@ -529,16 +521,22 @@ def run_closed_loop(
         schedule, _predicted = plant.steer(xi, target, cfg.tau_star)
         collect: Optional[list] = [] if flow_samples_per_period > 0 else None
         xi = plant.integrate(xi, schedule, cfg.tau_star, collect)
-        t_start = j * cfg.tau_star
-        if collect:
-            stride = max(1, len(collect) // (flow_samples_per_period + 1))
-            for t_rel, y_state in collect[stride::stride][:flow_samples_per_period]:
+        if collect is not None:
+            stride = len(collect) // (flow_samples_per_period + 1)
+            if stride == 0:
+                raise ValueError(
+                    f"plant emitted {len(collect)} dense rows in a period; "
+                    f"flow_samples_per_period={flow_samples_per_period} needs "
+                    f"at least {flow_samples_per_period + 1}"
+                )
+            for i in range(1, flow_samples_per_period + 1):
+                t_rel, y_state = collect[i * stride - 1]
                 arc.samples.append(
                     ArcSample(
-                        t=t_start + t_rel,
+                        t=j * cfg.tau_star + t_rel,
                         j=j,
                         plant=PlantState(np.array(y_state[: xi.x.shape[0]])),
-                        controller=xc.copy(),
+                        controller=xc,
                     )
                 )
 
@@ -554,8 +552,8 @@ def run_closed_loop(
             ArcSample(
                 t=t,
                 j=j,
-                plant=xi.copy(),
-                controller=xc.copy(),
+                plant=xi,
+                controller=xc,
                 measured=y,
                 case=case,
             )

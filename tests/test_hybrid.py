@@ -1,6 +1,7 @@
 """Tests for the sampled-data controller: jump classification, the five jump
 maps, the direction-update function, timer flow, the closed loop, and the
 probe-for-probe agreement between the two search realizations."""
+import copy
 import csv
 import io
 import math
@@ -174,6 +175,39 @@ class TestJumpMaps:
         assert new.delta == new.deltas[1]
         assert_array_equal(new.alpha, np.zeros(2))
         assert new.alpha_bar == 0.0
+
+    @pytest.mark.parametrize("case, xc, y", [
+        (JumpCase.D1, controller(z=1.0, p=1, q=0, k=1, lam=0.2,
+                                 alpha=np.array([0.3, 0.1])), 0.2),
+        (JumpCase.D2, controller(z=1.0, p=1, q=0, k=1), 0.9),
+        (JumpCase.D3, controller(z=5.0, m=1, p=-1, q=1, lam=0.75), 4.0),
+        (JumpCase.D4, controller(z=1.0, p=-1, q=1, k=2, lam=-0.5,
+                                 v=np.array([0.0, 1.0])), 0.5),
+        (JumpCase.D5, controller(k=1, q=2, lam=0.1, deltas=[0.25, 0.5],
+                                 alpha=np.array([0.3, 0.1]), alpha_bar=0.4),
+         0.3),
+        (JumpCase.D5, controller(k=2, q=2, lam=0.5, deltas=[0.25, 0.5],
+                                 v=np.array([0.0, 1.0]),
+                                 alpha=np.array([1.0, 0.0]), alpha_bar=1.0),
+         0.0),
+    ], ids=["D1", "D2", "D3", "D4", "D5-mid-cycle", "D5-cycle-close"])
+    def test_jump_maps_leave_the_input_untouched(self, case, xc, y):
+        # The arc shares the returned states and the arrays they inherit, so
+        # every jump map must read its input and never write to it.
+        before = copy.deepcopy(xc)
+        assert classify_jump(xc, y) is case
+        new = jump(xc, y, AlgorithmConfig(gamma=1.5))
+        assert new is not xc
+        assert new.deltas is not xc.deltas
+        for name in ("tau", "phi", "z", "lam", "alpha_bar", "p", "m", "q",
+                     "k", "delta"):
+            assert getattr(xc, name) == getattr(before, name), name
+        assert_array_equal(xc.alpha, before.alpha)
+        assert_array_equal(xc.v, before.v)
+        assert len(xc.dirs) == len(before.dirs)
+        for d, d_before in zip(xc.dirs, before.dirs):
+            assert_array_equal(d, d_before)
+        assert xc.deltas == before.deltas
 
 
 class TestPhiUpdate:
@@ -426,13 +460,57 @@ class TestClosedLoop:
                               PlantState(np.array([1.0, 1.0])), xc0, cfg,
                               StopRule(max_jumps=5),
                               flow_samples_per_period=3)
-        flows = [s for s in arc.samples if s.case is None and s.t > 0.0]
-        assert len(flows) == 15
-        for s in flows:
-            assert s.measured is None
-            assert 0.0 < s.t < 5 * cfg.tau_star
-        ts = [s.t for s in arc.samples]
-        assert all(t2 >= t1 for t1, t2 in zip(ts, ts[1:]))
+        rows = arc.samples
+        assert len(rows) == 1 + 5 * 4
+        for j in range(5):
+            start, end = rows[4 * j], rows[4 * j + 4]
+            assert end.case is not None and end.j == j + 1
+            for i, s in enumerate(rows[4 * j + 1:4 * j + 4], start=1):
+                assert s.case is None and s.measured is None and s.j == j
+                # Rows at the quarter periods; x' = u is constant over the
+                # period, so each lies on the segment from start to end.
+                assert abs(s.t - (j + i / 4) * cfg.tau_star) <= 1e-12
+                assert_allclose(
+                    s.plant.x,
+                    start.plant.x + (i / 4) * (end.plant.x - start.plant.x),
+                    rtol=0.0, atol=1e-12,
+                )
+
+    def test_too_few_dense_rows_raise(self):
+        # The exact plant emits one row per period: too few for any sample.
+        with pytest.raises(ValueError, match="1 dense rows"):
+            closed_loop(core.make_sphere(2), [1.0, 1.0], 5,
+                        flow_samples_per_period=1)
+
+    def test_arc_shares_states_but_not_between_jumps(self):
+        xi0 = PlantState(np.array([1.5, 0.0]))
+        xc0 = make_controller(AXES, [0.5, 0.5], 0.5)
+        arc = run_closed_loop(ExactPlant(), core.make_aniso_quadratic(),
+                              xi0, xc0, AlgorithmConfig(),
+                              StopRule(max_jumps=300))
+        jumps = arc.jump_samples()
+        assert len(jumps) == 300
+        assert len({id(s.controller) for s in jumps}) == 300
+        assert len({id(s.plant) for s in jumps}) == 300
+        assert arc.samples[0].controller is not xc0
+        assert arc.samples[0].plant is not xi0
+
+    def test_classify_and_jump_called_once_per_jump(self, monkeypatch):
+        # Layer tracing wraps these module attributes; the loop must call
+        # them through the module, once each per jump.
+        calls = {"classify_jump": 0, "jump": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(hybrid, name, counting(name, getattr(hybrid, name)))
+        arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 120)
+        assert len(arc.jumps) == 120
+        assert calls == {"classify_jump": 120, "jump": 120}
 
     def test_phi_threshold_stop(self):
         arc = closed_loop(core.get_objective("constant", dimension=2),
