@@ -49,11 +49,8 @@ from .hybrid import (
     EquivalenceReport,
     HybridArc,
     JumpCase,
-    JumpLabel,
-    SchedulingError,
     classify_jump,
     equivalence_check,
-    flow,
     jump,
     make_controller,
     phi_update,

@@ -41,7 +41,6 @@ from .core import (
     log_rho,
     rho,
     rho_underflows,
-    validate_config,
 )
 from . import hybrid, noise as noise_mod, plants, rsp
 
@@ -60,6 +59,14 @@ __all__ = [
 
 _C8 = math.cos(math.pi / 8.0)
 _S8 = math.sin(math.pi / 8.0)
+
+
+def _reject_unknown(what: str, data: dict, known: Sequence[str]) -> None:
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(
+            [f"unknown {what}(s): {sorted(unknown)} (known: {sorted(known)})"]
+        )
 
 
 @dataclass
@@ -82,12 +89,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                [f"unknown config field(s): {sorted(unknown)} (known: {sorted(known)})"]
-            )
+        known = [f.name for f in dataclasses.fields(cls)]
+        _reject_unknown("config field", data, known)
         missing = {"name", "objective", "plant", "algorithm", "initial", "stop"} - set(
             data
         )
@@ -103,7 +106,6 @@ class RunSummary:
     scenario: str
     seed: int
     jumps: int
-    evaluations: int
     stopped: str
     final_x: list[float]
     final_f: float
@@ -246,7 +248,12 @@ def _build_noise(spec: dict, seed: int):
     return noise_mod.get_noise(kind, **spec)
 
 
+_CONTROLLER_KEYS = ("dirs", "deltas", "phi", "v", "delta", "z")
+_STOP_KEYS = ("max_jumps", "max_evaluations", "phi_threshold")
+
+
 def _build_controller(spec: dict) -> hybrid.ControllerState:
+    _reject_unknown("initial.controller key", spec, _CONTROLLER_KEYS)
     return hybrid.make_controller(
         dirs=[np.asarray(d, dtype=float) for d in spec["dirs"]],
         deltas=[float(s) for s in spec["deltas"]],
@@ -264,12 +271,15 @@ def run_experiment(
 
     Returns the in-memory arc and the summary.  When ``out_dir`` is given the
     directory receives ``arc.csv``, ``config.json``, ``summary.json`` and,
-    for non-zero noise models, ``noise.csv``.
+    for non-zero noise models, ``noise.csv``.  Raises `ConfigError` for an
+    invalid algorithm, a key no part of the run reads, or a parameter a
+    builder does not take.
     """
-    algo = AlgorithmConfig(**config.algorithm)
-    violations = validate_config(algo)
-    if violations:
-        raise ConfigError(violations)
+    try:
+        algo = AlgorithmConfig(**config.algorithm)
+    except TypeError as exc:
+        raise ConfigError([f"algorithm: {exc}"]) from None
+    _reject_unknown("stop key", config.stop, _STOP_KEYS)
 
     objective = _build_objective(config.objective)
     plant = _build_plant(config.plant)
@@ -282,11 +292,7 @@ def run_experiment(
     else:
         xi0 = plant.initial_state(x0)
 
-    stop = StopRule(
-        max_jumps=config.stop.get("max_jumps"),
-        max_evaluations=config.stop.get("max_evaluations"),
-        phi_threshold=config.stop.get("phi_threshold"),
-    )
+    stop = StopRule(**config.stop)
 
     start = time.perf_counter()
     arc = hybrid.run_closed_loop(
@@ -302,11 +308,12 @@ def run_experiment(
     elapsed = time.perf_counter() - start
 
     final = arc.final_sample()
+    jumps = arc.jump_samples()
     case_counts: dict[str, int] = {}
-    for label in arc.jumps:
-        case_counts[label.case.value] = case_counts.get(label.case.value, 0) + 1
+    for s in jumps:
+        case_counts[s.case.value] = case_counts.get(s.case.value, 0) + 1
 
-    warm = [s for s in arc.jump_samples() if s.j >= 3]
+    warm = [s for s in jumps if s.j >= 3]
     violations_count = sum(
         1
         for a, b in zip(warm, warm[1:])
@@ -323,8 +330,7 @@ def run_experiment(
     summary = RunSummary(
         scenario=config.name,
         seed=config.seed,
-        jumps=len(arc.jumps),
-        evaluations=len(arc.jumps),
+        jumps=len(jumps),
         stopped=arc.stopped,
         final_x=[float(v) for v in final.plant.x],
         final_f=float(objective(final.plant.x)),
@@ -561,13 +567,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             config.seed = args.seed
         if args.max_jumps is not None:
             config.stop["max_jumps"] = args.max_jumps
-        algo = AlgorithmConfig(**config.algorithm)
-        violations = validate_config(algo)
-        if violations:
-            print("error: invalid configuration:", file=sys.stderr)
-            for v in violations:
-                print(f"  - {v}", file=sys.stderr)
-            return 2
         out_dir = args.out or os.path.join(
             _default_out_root(), f"{config.name}_seed{config.seed}"
         )
@@ -615,21 +614,12 @@ def _cmd_rho_table(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_rows = [
-        {
-            "delta": r["delta"],
-            "rho": r["rho"],
-            "log_rho": r["log_rho"],
-            "flag": r["flag"],
-        }
-        for r in rows
-    ]
     if args.out:
         with open(args.out, "w", newline="") as fp:
-            _write_rows_csv(out_rows, fp)
+            _write_rows_csv(rows, fp)
         print(f"wrote {args.out}")
     else:
-        _write_rows_csv(out_rows, sys.stdout)
+        _write_rows_csv(rows, sys.stdout)
     return 0
 
 

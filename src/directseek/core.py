@@ -2,14 +2,16 @@
 
 Provides the sufficient-decrease threshold ``rho`` with explicit underflow
 reporting, small dense linear-algebra helpers for direction sets,
-configuration validation, and a registry of benchmark objective functions
-with optional analytic derivatives.
+configuration validation, the search rules that the walker (`directseek.rsp`)
+and the controller (`directseek.hybrid`) share -- the slot map, the
+determinant guard and the cycle-close rebuild -- and a registry of benchmark
+objective functions with optional analytic derivatives.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,6 +27,11 @@ __all__ = [
     "validate_config",
     "ConfigError",
     "StopRule",
+    "active_slot",
+    "passes_determinant_guard",
+    "check_robust_start",
+    "line_end_step",
+    "close_cycle",
     "ObjectiveFunction",
     "make_sphere",
     "make_aniso_quadratic",
@@ -32,6 +39,7 @@ __all__ = [
     "make_random_spd_quadratic",
     "get_objective",
     "OBJECTIVE_BUILDERS",
+    "build_registered",
 ]
 
 E = math.e
@@ -267,6 +275,100 @@ class StopRule:
 
 
 # ---------------------------------------------------------------------------
+# Search rules shared by the walker and the controller
+# ---------------------------------------------------------------------------
+
+
+def active_slot(k: int, n: int) -> int:
+    """Stored direction/step slot explored while the cycle counter is ``k``.
+
+    Counter 0 and counter ``n`` both walk the newest slot ``n - 1``; counters
+    ``1 .. n-1`` walk slots ``0 .. n-2``.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"cycle counter {k} outside 0..{n}")
+    return n - 1 if k in (0, n) else k - 1
+
+
+def passes_determinant_guard(
+    trailing: Sequence[np.ndarray], candidate: np.ndarray, delta_det: float
+) -> bool:
+    """True when the rows ``trailing + [candidate]`` have
+    ``|det| >= delta_det`` (equality passes): the cycle-end candidate may
+    replace the oldest direction."""
+    return abs(direction_determinant([*trailing, candidate])) >= delta_det
+
+
+def check_robust_start(directions, cfg: AlgorithmConfig) -> None:
+    """Robust mode (``phi_min > 0``) needs a starting direction set that
+    clears the determinant guard; raises `ConfigError` otherwise."""
+    if cfg.phi_min > 0.0:
+        det = abs(direction_determinant(directions))
+        if det < cfg.delta_det:
+            raise ConfigError(
+                [
+                    "robust mode requires |det(directions)| >= delta_det "
+                    f"(got {det!r} < {cfg.delta_det!r})"
+                ]
+            )
+
+
+def line_end_step(lam: float, step: float, phi: float, cfg: AlgorithmConfig) -> float:
+    """Stored step after a line minimization that travelled ``lam``: a
+    blocked line (``|lam| <= step / 2``) contracts it by ``theta``, floored
+    at ``lambda_s * phi``."""
+    if abs(lam) <= step / 2.0:
+        return max(cfg.theta * step, cfg.lambda_s * phi)
+    return step
+
+
+def close_cycle(
+    dirs: list[np.ndarray],
+    steps: list[float],
+    phi: float,
+    alpha: np.ndarray,
+    alpha_bar: float,
+    lam: float,
+    v: np.ndarray,
+    cfg: AlgorithmConfig,
+) -> tuple[list[np.ndarray], list[float], float, bool]:
+    """Cycle-close rebuild: returns ``(dirs, steps, phi, blocked)``.
+
+    Reads the stored slots (the newest step not yet end-of-line contracted),
+    the earlier lines' displacement ``alpha`` and travel ``alpha_bar``, and
+    the closing line's travel ``lam`` along ``v``.  A blocked cycle contracts
+    ``phi`` by ``mu`` (floored at ``phi_min``).  Slots shift down one; the
+    newest takes the guarded candidate ``alpha + lam * v`` (else the oldest
+    direction) and the largest old step, all steps clipped to the box.
+    Shares, and never writes to, the input arrays.
+    """
+    n = len(dirs)
+    travel = alpha_bar + abs(lam) * float(np.linalg.norm(v))
+    blocked = travel <= min(steps) / 2.0
+    phi_new = cfg.mu * phi if blocked else phi
+    if blocked and cfg.phi_min > 0.0:
+        phi_new = max(phi_new, cfg.phi_min)
+
+    candidate = alpha + lam * v
+    guard = passes_determinant_guard(dirs[1:], candidate, cfg.delta_det)
+    new_dir = candidate if guard else dirs[0]
+
+    lo, hi = cfg.lambda_s * phi_new, cfg.lambda_t * phi_new
+
+    def clip(s: float) -> float:
+        return min(max(s, lo), hi)
+
+    d_last = line_end_step(lam, steps[n - 1], phi, cfg)
+    if n >= 2:
+        shifted = [clip(s) for s in steps[1 : n - 1]] + [clip(d_last)]
+        new_step = clip(max(steps[: n - 1]))
+    else:
+        shifted = []
+        new_step = clip(d_last)
+    return dirs[1:] + [new_dir], shifted + [new_step], phi_new, blocked
+
+
+# ---------------------------------------------------------------------------
 # Objective functions
 # ---------------------------------------------------------------------------
 
@@ -437,22 +539,30 @@ def _make_constant(dimension: int = 2, value: float = 0.0) -> ObjectiveFunction:
 
 OBJECTIVE_BUILDERS: dict[str, Callable[..., ObjectiveFunction]] = {
     "sphere": make_sphere,
-    "aniso_quadratic": lambda **kw: make_aniso_quadratic(),
-    "rosenbrock": lambda **kw: make_rosenbrock(),
+    "aniso_quadratic": make_aniso_quadratic,
+    "rosenbrock": make_rosenbrock,
     "random_spd_quadratic": make_random_spd_quadratic,
     "constant": _make_constant,
 }
 
 
-def get_objective(name: str, **params) -> ObjectiveFunction:
-    """Build a registered objective by name.
+def build_registered(what: str, registry: dict, name: str, params: dict):
+    """Call ``registry[name](**params)``.
 
-    Raises ``KeyError`` listing the known names for an unknown ``name``.
+    Raises ``KeyError`` listing the known names for an unknown ``name``, and
+    ``ConfigError`` when the builder is missing a required parameter or is
+    given one it does not take.
     """
     try:
-        builder = OBJECTIVE_BUILDERS[name]
+        builder = registry[name]
     except KeyError:
-        raise KeyError(
-            f"unknown objective {name!r}; known: {sorted(OBJECTIVE_BUILDERS)}"
-        ) from None
-    return builder(**params)
+        raise KeyError(f"unknown {what} {name!r}; known: {sorted(registry)}") from None
+    try:
+        return builder(**params)
+    except TypeError as exc:
+        raise ConfigError([f"{what} {name!r}: {exc}"]) from None
+
+
+def get_objective(name: str, **params) -> ObjectiveFunction:
+    """Build a registered objective by name (see `build_registered`)."""
+    return build_registered("objective", OBJECTIVE_BUILDERS, name, params)

@@ -18,8 +18,10 @@ Per line minimization the label sequence is ``(D1+ D2)`` or
 very first positive probe fails (a successful positive run arrives from the
 negative side already).
 
-This module is written independently of `directseek.rsp`; `equivalence_check`
-verifies the two routes measure the field at identical points.
+The line-search traversal here is written independently of `directseek.rsp`;
+both routes take the slot map, the determinant guard and the cycle-close
+rebuild from `directseek.core`.  `equivalence_check` verifies the two routes
+measure the field at identical points.
 """
 from __future__ import annotations
 
@@ -34,7 +36,11 @@ from .core import (
     AlgorithmConfig,
     ConfigError,
     StopRule,
-    direction_determinant,
+    active_slot,
+    check_robust_start,
+    close_cycle,
+    line_end_step,
+    passes_determinant_guard,
     rho,
     validate_config,
 )
@@ -42,16 +48,13 @@ from .plants import PlantState
 
 __all__ = [
     "JumpCase",
-    "JumpLabel",
     "AutomatonError",
-    "SchedulingError",
     "ControllerState",
     "ArcSample",
     "HybridArc",
     "classify_jump",
     "jump",
     "phi_update",
-    "flow",
     "make_controller",
     "run_closed_loop",
     "EquivalenceReport",
@@ -61,10 +64,6 @@ __all__ = [
 
 class AutomatonError(RuntimeError):
     """A controller state outside the reachable set was asked to jump."""
-
-
-class SchedulingError(RuntimeError):
-    """Continuous flow was driven past the sampling period."""
 
 
 class JumpCase(str, Enum):
@@ -81,15 +80,6 @@ class JumpCase(str, Enum):
 
 
 @dataclass
-class JumpLabel:
-    """Classified jump ``case`` at jump index ``j`` and time ``t``."""
-
-    case: JumpCase
-    j: int
-    t: float
-
-
-@dataclass
 class ControllerState:
     """Controller memory between jumps.
 
@@ -99,14 +89,15 @@ class ControllerState:
     displacement accumulator and ``alpha_bar`` the scalar travel meter;
     ``p`` the probe sign, ``m`` the pending-re-measure flag, ``q`` the
     line-minimization phase counter, ``k`` the cycle slot counter, ``z`` the
-    incumbent measured value, ``phi`` the frame scale, ``tau`` the timer.
+    incumbent measured value, ``phi`` the frame scale.  The controller keeps
+    no timer: it jumps at every period boundary, so the jump grid
+    ``j * tau_star`` is its clock.
 
     States are treated as immutable: `jump` returns a new state sharing the
     unchanged arrays with its input, and `ArcSample`s hold the loop's states,
     not copies.  `copy` is a deep copy.
     """
 
-    tau: float
     phi: float
     z: float
     lam: float
@@ -133,7 +124,6 @@ class ControllerState:
 
     def copy(self) -> "ControllerState":
         return ControllerState(
-            tau=self.tau,
             phi=self.phi,
             z=self.z,
             lam=self.lam,
@@ -168,7 +158,6 @@ def make_controller(
     v = dirs[n - 1].copy() if v is None else np.asarray(v, dtype=float)
     delta = float(deltas[n - 1]) if delta is None else float(delta)
     return ControllerState(
-        tau=0.0,
         phi=float(phi),
         z=float(z),
         lam=0.0,
@@ -183,11 +172,6 @@ def make_controller(
         dirs=[d.copy() for d in dirs],
         deltas=[float(s) for s in deltas],
     )
-
-
-def _slot(k: int, n: int) -> int:
-    """Stored slot being walked at cycle counter ``k``."""
-    return n - 1 if k in (0, n) else k - 1
 
 
 def classify_jump(xc: ControllerState, y: float) -> JumpCase:
@@ -234,8 +218,7 @@ def phi_update(
     whole update a pure rotation of the direction list.
     """
     candidate = np.asarray(alpha, dtype=float) + np.asarray(beta, dtype=float)
-    det = direction_determinant([*trailing_dirs, candidate])
-    if abs(det) >= delta_det:
+    if passes_determinant_guard(trailing_dirs, candidate, delta_det):
         return candidate
     return np.asarray(d0, dtype=float).copy()
 
@@ -253,8 +236,7 @@ def _accept(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerSt
     """Accept on either side (D1, D4): bank the step, expand, enter phase 1
     (a negative-side accept is already in it)."""
     new = _next(xc)
-    a = _slot(xc.k, xc.dimension)
-    new.tau = 0.0
+    a = active_slot(xc.k, xc.dimension)
     new.z = y
     new.q = 1
     new.lam = xc.lam + xc.delta * xc.p
@@ -266,7 +248,6 @@ def _accept(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerSt
 def _g2(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
     """Probe failed: flip the probe sign and schedule a re-measure."""
     new = _next(xc)
-    new.tau = 0.0
     new.p = -xc.p
     new.m = 1
     new.q = xc.q + 1
@@ -276,7 +257,6 @@ def _g2(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
 def _g3(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
     """Back at the anchor: re-anchor the incumbent and resume probing."""
     new = _next(xc)
-    new.tau = 0.0
     new.z = y
     new.m = 0
     new.lam = 0.0
@@ -286,20 +266,14 @@ def _g3(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
 def _g5(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
     """Line minimization over: bank bookkeeping and arm the next slot.
 
-    All right-hand sides read the pre-jump state.  Counter ``k < n`` hands
-    the walk to stored slot ``k``; counter ``n`` closes the cycle: the frame
-    scale contracts if the whole cycle was blocked (with the robust floor
-    applied in that branch), slots shift down one, and the vacated newest
-    slot takes the direction candidate and a step rebuilt from the old slots.
+    All right-hand sides read the pre-jump state.  Counter ``k < n`` applies
+    the end-of-line step rule to the walked slot and hands the walk to stored
+    slot ``k`` with its stored (possibly just contracted) step; counter ``n``
+    closes the cycle with `core.close_cycle`.
     """
     n = xc.dimension
     c = xc.k
-    a = _slot(c, n)
-    pre = xc.deltas
-    blocked_lm = abs(xc.lam) <= pre[a] / 2.0
-
     new = _next(xc)
-    new.tau = 0.0
     new.z = y
     new.lam = 0.0
     new.p = 1
@@ -307,46 +281,20 @@ def _g5(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
     new.q = 0
 
     if c < n:
-        if blocked_lm:
-            new.deltas[a] = max(cfg.theta * pre[a], cfg.lambda_s * xc.phi)
+        a = active_slot(c, n)
+        new.deltas[a] = line_end_step(xc.lam, xc.deltas[a], xc.phi, cfg)
         new.alpha = xc.alpha + xc.lam * xc.v
         new.alpha_bar = xc.alpha_bar + abs(xc.lam) * float(np.linalg.norm(xc.v))
         new.k = c + 1
         new.v = xc.dirs[c]
-        new.delta = pre[c]
+        new.delta = new.deltas[c]
         return new
 
-    # c == n: cycle close.
-    travel = xc.alpha_bar + abs(xc.lam) * float(np.linalg.norm(xc.v))
-    blocked_cycle = travel <= min(pre) / 2.0
-    phi_new = cfg.mu * xc.phi if blocked_cycle else xc.phi
-    if blocked_cycle and cfg.phi_min > 0.0:
-        phi_new = max(phi_new, cfg.phi_min)
-
-    new_dir = phi_update(
-        xc.alpha, xc.lam * xc.v, xc.dirs[1:], xc.dirs[0], cfg.delta_det
+    new.dirs, new.deltas, new.phi, _blocked = close_cycle(
+        xc.dirs, xc.deltas, xc.phi, xc.alpha, xc.alpha_bar, xc.lam, xc.v, cfg
     )
-
-    d_last = pre[n - 1]
-    if blocked_lm:
-        d_last = max(cfg.theta * d_last, cfg.lambda_s * xc.phi)
-    lo, hi = cfg.lambda_s * phi_new, cfg.lambda_t * phi_new
-
-    def clip(s: float) -> float:
-        return min(max(s, lo), hi)
-
-    if n >= 2:
-        shifted = [clip(pre[j + 1]) for j in range(n - 2)] + [clip(d_last)]
-        new_step = clip(max(pre[: n - 1]))
-    else:
-        shifted = []
-        new_step = clip(d_last)
-
-    new.dirs = xc.dirs[1:] + [new_dir]
-    new.deltas = shifted + [new_step]
-    new.v = new_dir
-    new.delta = new_step
-    new.phi = phi_new
+    new.v = new.dirs[-1]
+    new.delta = new.deltas[-1]
     new.alpha = np.zeros(n)
     new.alpha_bar = 0.0
     new.k = 0
@@ -377,22 +325,6 @@ def jump(
     return _JUMP_MAPS[case](xc, y, cfg)
 
 
-def flow(
-    xc: ControllerState, dt: float, cfg: AlgorithmConfig
-) -> ControllerState:
-    """Advance the controller timer by ``dt`` (all other fields are constant
-    between jumps).  Raises `SchedulingError` past the sampling period."""
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    new = xc.copy()
-    new.tau = xc.tau + dt
-    if new.tau > cfg.tau_star * (1.0 + 1e-9):
-        raise SchedulingError(
-            f"flowed to tau={new.tau} past the period tau_star={cfg.tau_star}"
-        )
-    return new
-
-
 @dataclass
 class ArcSample:
     """One logged point of the closed-loop trajectory.
@@ -413,10 +345,10 @@ class ArcSample:
 
 @dataclass
 class HybridArc:
-    """Closed-loop run log: dense samples plus the jump label sequence."""
+    """Closed-loop run log: the initial row, dense intra-period rows and one
+    row per jump (`jump_samples`)."""
 
     samples: list[ArcSample] = field(default_factory=list)
-    jumps: list[JumpLabel] = field(default_factory=list)
     stopped: str = ""
 
     def jump_samples(self) -> list[ArcSample]:
@@ -486,15 +418,7 @@ def run_closed_loop(
         and stop.phi_threshold is None
     ):
         raise ValueError("stop rule has no limits set; the run would never end")
-    if cfg.phi_min > 0.0:
-        det = direction_determinant(xc0.dirs)
-        if abs(det) < cfg.delta_det:
-            raise ConfigError(
-                [
-                    "robust mode requires |det(directions)| >= delta_det "
-                    f"(got {abs(det)!r} < {cfg.delta_det!r})"
-                ]
-            )
+    check_robust_start(xc0.dirs, cfg)
 
     xi = xi0.copy()
     xc = xc0.copy()
@@ -541,16 +465,14 @@ def run_closed_loop(
                 )
 
         j += 1
-        t = j * cfg.tau_star
         y = float(objective(xi.x))
         if noise is not None:
             y += float(noise.sample(j, xc.delta, xc.v))
         case = classify_jump(xc, y)
         xc = jump(xc, y, cfg, case=case)
-        arc.jumps.append(JumpLabel(case=case, j=j, t=t))
         arc.samples.append(
             ArcSample(
-                t=t,
+                t=j * cfg.tau_star,
                 j=j,
                 plant=xi,
                 controller=xc,

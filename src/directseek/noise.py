@@ -23,17 +23,15 @@ controller's progress guarantee holds: ``rho(lambda_s * phi_floor) / 2``.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import (
     AlgorithmConfig,
-    ConfigError,
-    ObjectiveFunction,
     StopRule,
+    build_registered,
     rho,
     rho_underflows,
 )
@@ -468,36 +466,16 @@ def jam_demo(
     )
 
 
-def _build_zero(**kw) -> NoiseModel:
-    return ZeroNoise()
-
-
 NOISE_BUILDERS: dict[str, Callable[..., NoiseModel]] = {
-    "zero": _build_zero,
-    "bounded_random": lambda bound=0.0, seed=0, **kw: BoundedRandomNoise(bound, seed),
-    "adversarial_jam": lambda bound, grad_bound, dir_bound, theta, **kw: (
-        AdversarialJamNoise(bound, grad_bound, dir_bound, theta)
-    ),
-    "adversarial_drag": lambda grad_bound, dir_bound, start=1, **kw: (
-        AdversarialDragNoise(grad_bound, dir_bound, start)
-    ),
+    "zero": ZeroNoise,
+    "bounded_random": lambda bound=0.0, seed=0: BoundedRandomNoise(bound, seed),
+    "adversarial_jam": AdversarialJamNoise,
+    "adversarial_drag": AdversarialDragNoise,
 }
 
 
 def get_noise(kind: str, **params) -> NoiseModel:
-    """Build a registered noise model by kind name.
-
-    Raises ``KeyError`` for an unknown kind and ``ConfigError`` when a model
-    is missing required parameters (the adversarial kinds need their bound
-    inputs supplied).
-    """
-    try:
-        builder = NOISE_BUILDERS[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown noise model {kind!r}; known: {sorted(NOISE_BUILDERS)}"
-        ) from None
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise ConfigError([f"noise model {kind!r}: {exc}"]) from None
+    """Build a registered noise model by kind name (see
+    `core.build_registered`); the adversarial kinds need their bound inputs
+    supplied."""
+    return build_registered("noise model", NOISE_BUILDERS, kind, params)

@@ -24,6 +24,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .core import build_registered
+
 __all__ = [
     "PlantState",
     "Segment",
@@ -33,8 +35,6 @@ __all__ = [
     "PointMassPlant",
     "DubinsPlant",
     "ExactPlant",
-    "steer",
-    "integrate",
     "PLANT_BUILDERS",
     "get_plant",
 ]
@@ -321,25 +321,6 @@ class ExactPlant:
         return PlantState(x)
 
 
-def steer(plant, xi: PlantState, target, tau_star: float):
-    """Plan a one-period schedule moving the plant by ``target``.
-
-    Returns ``(schedule, predicted_end_state)``.  Raises `SteeringError` with
-    actionable advice when the displacement is infeasible in one period.
-    """
-    return plant.steer(xi, np.asarray(target, dtype=float), tau_star)
-
-
-def integrate(plant, xi: PlantState, schedule, tau_star: float, collect=None):
-    """Flow the plant along a schedule: exactly where the segment's flow has
-    a closed form, with fixed-step RK4 otherwise.
-
-    ``collect``, when given, receives ``(t, state_tuple)`` rows after every
-    substep and never changes the result.  Returns the final `PlantState`.
-    """
-    return plant.integrate(xi, schedule, tau_star, collect)
-
-
 PLANT_BUILDERS: dict[str, Callable] = {
     "point_mass": PointMassPlant,
     "dubins": DubinsPlant,
@@ -348,11 +329,5 @@ PLANT_BUILDERS: dict[str, Callable] = {
 
 
 def get_plant(kind: str, **params):
-    """Build a registered plant by kind name."""
-    try:
-        builder = PLANT_BUILDERS[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown plant {kind!r}; known: {sorted(PLANT_BUILDERS)}"
-        ) from None
-    return builder(**params)
+    """Build a registered plant by kind name (see `core.build_registered`)."""
+    return build_registered("plant", PLANT_BUILDERS, kind, params)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,9 +30,13 @@ from .core import (
     AlgorithmConfig,
     ConfigError,
     DirectionSet,
-    ObjectiveFunction,
     StopRule,
+    active_slot,
+    check_robust_start,
+    close_cycle,
     direction_determinant,
+    line_end_step,
+    passes_determinant_guard,
     rho,
     validate_config,
 )
@@ -65,17 +69,6 @@ class EvaluationError(RuntimeError):
         super().__init__(
             f"objective returned non-finite value {value!r} at {self.point!r}"
         )
-
-
-def active_slot(k: int, n: int) -> int:
-    """Stored direction/step slot explored while the cycle counter is ``k``.
-
-    Counter 0 and counter ``n`` both walk the newest slot ``n - 1``; counters
-    ``1 .. n-1`` walk slots ``0 .. n-2``.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"cycle counter {k} outside 0..{n}")
-    return n - 1 if k in (0, n) else k - 1
 
 
 @dataclass
@@ -300,7 +293,6 @@ class _Walker:
         noise=None,
         max_evaluations: Optional[int] = None,
     ):
-        self.objective = objective
         self.cfg = cfg
         self.st = state
         self.meter = _Meter(objective, noise, max_evaluations)
@@ -340,61 +332,48 @@ class _Walker:
         st.evaluations = self.meter.count
         self._close_slot(c, lam, v, delta_end)
 
-    # -- end-of-line bookkeeping (mirrors the controller's cycle-end map) ---
+    # -- end-of-line bookkeeping (the controller's D5 map) ------------------
 
     def _close_slot(self, c: int, lam: float, v: np.ndarray, delta_end: float) -> None:
         st, cfg = self.st, self.cfg
         n = st.dimension
-        a = active_slot(c, n)
         steps = st.directions.step_sizes
-        dirs = st.directions.directions
-        steps[a] = delta_end
-        blocked_lm = abs(lam) <= steps[a] / 2.0
-
+        a = active_slot(c, n)
         if c < n:
-            if blocked_lm:
-                steps[a] = max(cfg.theta * steps[a], cfg.lambda_s * st.phi)
+            steps[a] = line_end_step(lam, delta_end, st.phi, cfg)
             st.alpha = st.alpha + lam * v
             st.alpha_bar += abs(lam) * float(np.linalg.norm(v))
             st.k = c + 1
             return
 
-        # c == n: cycle close.
-        travel = st.alpha_bar + abs(lam) * float(np.linalg.norm(v))
-        blocked_cycle = travel <= min(steps) / 2.0
-        phi_new = cfg.mu * st.phi if blocked_cycle else st.phi
-        if blocked_cycle:
-            st.blocked_cycles += 1
-            if cfg.phi_min > 0.0:
-                phi_new = max(phi_new, cfg.phi_min)
-
-        candidate = st.alpha + lam * v
-        rows = [d.copy() for d in dirs[1:]] + [candidate]
-        accept = abs(direction_determinant(rows)) >= cfg.delta_det
-        new_dir = candidate if accept else dirs[0].copy()
-
-        d_last = steps[n - 1]
-        if blocked_lm:
-            d_last = max(cfg.theta * d_last, cfg.lambda_s * st.phi)
-        lo, hi = cfg.lambda_s * phi_new, cfg.lambda_t * phi_new
-
-        def clip(s: float) -> float:
-            return min(max(s, lo), hi)
-
-        if n >= 2:
-            shifted = [clip(steps[j + 1]) for j in range(n - 2)] + [clip(d_last)]
-            new_step = clip(max(steps[: n - 1]))
-        else:
-            shifted = []
-            new_step = clip(d_last)
-        st.directions = DirectionSet(
-            [d.copy() for d in dirs[1:]] + [new_dir], shifted + [new_step]
+        steps[a] = delta_end
+        dirs, steps, st.phi, blocked = close_cycle(
+            st.directions.directions, steps, st.phi, st.alpha, st.alpha_bar,
+            lam, v, cfg,
         )
-        st.phi = phi_new
+        st.directions = DirectionSet(dirs, steps)
+        st.blocked_cycles += blocked
         st.alpha = np.zeros(n)
         st.alpha_bar = 0.0
         st.k = 0
         st.cycles += 1
+
+    def run_cycle(self, v0=None, delta0=None) -> bool:
+        """Line minimizations from the current counter through the cycle
+        close; ``v0``/``delta0`` override the counter-0 line only.  Returns
+        False, with ``stopped`` set, when the measurement budget ran out."""
+        st = self.st
+        try:
+            for c in range(st.k, st.dimension + 1):
+                if c == 0:
+                    self.run_slot(v0, delta0)
+                else:
+                    self.run_slot()
+        except _BudgetExhausted:
+            st.stopped = "max_evaluations"
+            st.evaluations = self.meter.count
+            return False
+        return True
 
 
 def rsp_cycle(
@@ -421,18 +400,7 @@ def rsp_cycle(
                 f"{det!r} < delta_det = {cfg.delta_det!r}"
             ]
         )
-    walker = _Walker(objective, state, cfg, noise, max_evaluations)
-    n = state.dimension
-    start = state.k
-    try:
-        for c in range(start, n + 1):
-            if c == 0:
-                walker.run_slot(v0, delta0)
-            else:
-                walker.run_slot()
-    except _BudgetExhausted:
-        state.stopped = "max_evaluations"
-    state.evaluations = walker.meter.count
+    _Walker(objective, state, cfg, noise, max_evaluations).run_cycle(v0, delta0)
     return state
 
 
@@ -470,42 +438,27 @@ def run(
         directions = DirectionSet(
             [np.eye(n)[i] for i in range(n)], [1.0] * n
         )
-    if cfg.phi_min > 0.0:
-        if abs(direction_determinant(directions)) < cfg.delta_det:
-            raise ConfigError(
-                [
-                    "robust mode requires |det(directions)| >= delta_det "
-                    f"(got {abs(direction_determinant(directions))!r} < {cfg.delta_det!r})"
-                ]
-            )
+    check_robust_start(directions, cfg)
     state = RspState(
         x=x0, directions=directions.copy(), phi=float(phi0), z=float(z0)
     )
     walker = _Walker(objective, state, cfg, noise, stop.max_evaluations)
-    first = True
-    try:
-        while True:
-            if stop.max_cycles is not None and state.cycles >= stop.max_cycles:
-                state.stopped = "max_cycles"
-                break
-            if stop.phi_threshold is not None and state.phi < stop.phi_threshold:
-                state.stopped = "phi_threshold"
-                break
-            if (
-                stop.max_evaluations is not None
-                and state.evaluations >= stop.max_evaluations
-            ):
-                state.stopped = "max_evaluations"
-                break
-            for c in range(state.k, state.dimension + 1):
-                if first and c == 0:
-                    walker.run_slot(v0, delta0)
-                else:
-                    walker.run_slot()
-            first = False
-    except _BudgetExhausted:
-        state.stopped = "max_evaluations"
-    state.evaluations = walker.meter.count
+    while True:
+        if stop.max_cycles is not None and state.cycles >= stop.max_cycles:
+            state.stopped = "max_cycles"
+            break
+        if stop.phi_threshold is not None and state.phi < stop.phi_threshold:
+            state.stopped = "phi_threshold"
+            break
+        if (
+            stop.max_evaluations is not None
+            and state.evaluations >= stop.max_evaluations
+        ):
+            state.stopped = "max_evaluations"
+            break
+        if not walker.run_cycle(v0, delta0):
+            break
+        v0 = delta0 = None
     return state
 
 
@@ -599,8 +552,7 @@ def exact_cycles(
                 alpha = alpha + t * v
             else:
                 candidate = alpha + t * v
-                rows = [d.copy() for d in dirs[1:]] + [candidate]
-                accept = abs(direction_determinant(rows)) >= delta_det
+                accept = passes_determinant_guard(dirs[1:], candidate, delta_det)
                 candidates.append(
                     CandidateRecord(
                         cycle=cyc,

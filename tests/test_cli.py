@@ -98,7 +98,7 @@ class TestRunExperiment:
         config = cli.scenario_config("fig1_quadratic_pointmass")
         config.stop["max_jumps"] = 200
         arc, summary = cli.run_experiment(config, None)
-        assert summary.evaluations == summary.jumps == 200
+        assert summary.jumps == 200
         assert summary.final_x == [float(v) for v in
                                    arc.final_sample().plant.x]
         assert summary.distance_to_minimizer == pytest.approx(
@@ -183,6 +183,30 @@ class TestMain:
         path.write_text(json.dumps(data))
         assert cli.main(["run", str(path)]) == 2
         assert "theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, spec", [
+        ("algorithm", "gama", {"gama": 1.2}),
+        ("plant", "substep", {"kind": "point_mass", "substep": 10}),
+        ("noise", "bnd", {"kind": "bounded_random", "bnd": 0.01}),
+        ("objective", "dimension", {"name": "aniso_quadratic", "dimension": 2}),
+        ("controller", "detla", {"dirs": [[1.0, 0.0], [0.0, 1.0]],
+                                 "deltas": [0.01, 0.01], "phi": 0.01,
+                                 "detla": 0.01}),
+        ("stop", "max_cycles", {"max_jumps": 40, "max_cycles": 5}),
+    ], ids=["algorithm", "plant", "noise", "objective", "controller", "stop"])
+    def test_config_typo_is_a_usage_error(self, tmp_path, capsys, section,
+                                          key, spec):
+        data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()
+        if section == "controller":
+            data["initial"]["controller"] = spec
+        else:
+            data[section] = spec
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert key in err
 
     def test_config_file_runs(self, tmp_path, capsys):
         path = tmp_path / "quick.json"

@@ -1,5 +1,5 @@
 """Tests for the sampled-data controller: jump classification, the five jump
-maps, the direction-update function, timer flow, the closed loop, and the
+maps, the direction-update function, the closed loop, and the
 probe-for-probe agreement between the two search realizations."""
 import copy
 import csv
@@ -16,10 +16,8 @@ from directseek.hybrid import (
     AutomatonError,
     ControllerState,
     JumpCase,
-    SchedulingError,
     classify_jump,
     equivalence_check,
-    flow,
     jump,
     make_controller,
     phi_update,
@@ -33,7 +31,7 @@ AXES = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
 def controller(**overrides) -> ControllerState:
     base = dict(
-        tau=0.0, phi=1.0, z=0.0, lam=0.0, alpha=np.zeros(2), alpha_bar=0.0,
+        phi=1.0, z=0.0, lam=0.0, alpha=np.zeros(2), alpha_bar=0.0,
         p=1, m=0, q=0, k=0, v=np.array([1.0, 0.0]), delta=0.5,
         dirs=[d.copy() for d in AXES], deltas=[0.5, 0.5],
     )
@@ -83,7 +81,7 @@ class TestJumpMaps:
     def test_accept_expands_active_and_stored_step(self):
         dirs3 = [np.eye(3)[i] for i in range(3)]
         xc = ControllerState(
-            tau=0.1, phi=1.0, z=1.0, lam=0.3, alpha=np.zeros(3),
+            phi=1.0, z=1.0, lam=0.3, alpha=np.zeros(3),
             alpha_bar=0.0, p=1, m=0, q=1, k=2, v=dirs3[1].copy(), delta=0.1,
             dirs=dirs3, deltas=[0.2, 0.1, 0.3],
         )
@@ -92,7 +90,6 @@ class TestJumpMaps:
         assert new.deltas[1] == pytest.approx(0.12)
         assert new.z == 0.2
         assert new.lam == pytest.approx(0.4)
-        assert new.tau == 0.0
         assert new.q == 1
 
     def test_accept_clips_at_the_step_cap(self):
@@ -199,8 +196,8 @@ class TestJumpMaps:
         new = jump(xc, y, AlgorithmConfig(gamma=1.5))
         assert new is not xc
         assert new.deltas is not xc.deltas
-        for name in ("tau", "phi", "z", "lam", "alpha_bar", "p", "m", "q",
-                     "k", "delta"):
+        for name in ("phi", "z", "lam", "alpha_bar", "p", "m", "q", "k",
+                     "delta"):
             assert getattr(xc, name) == getattr(before, name), name
         assert_array_equal(xc.alpha, before.alpha)
         assert_array_equal(xc.v, before.v)
@@ -245,47 +242,12 @@ class TestPhiUpdate:
                        np.eye(3)[2], 0.001)
 
 
-class TestFlow:
-    def test_timer_advances(self):
-        cfg = AlgorithmConfig()
-        xc = controller(tau=0.0)
-        new = flow(xc, cfg.tau_star / 2.0, cfg)
-        assert new.tau == cfg.tau_star / 2.0
-
-    def test_zero_dt_at_the_period_boundary(self):
-        cfg = AlgorithmConfig()
-        xc = controller(tau=cfg.tau_star)
-        new = flow(xc, 0.0, cfg)
-        assert new.tau == cfg.tau_star
-
-    def test_only_the_timer_moves(self):
-        cfg = AlgorithmConfig()
-        xc = controller(z=3.5, lam=0.25, alpha=np.array([0.1, 0.2]))
-        new = flow(xc, 0.05, cfg)
-        assert new.z == xc.z
-        assert new.lam == xc.lam
-        assert (new.p, new.m, new.q, new.k) == (xc.p, xc.m, xc.q, xc.k)
-        assert_array_equal(new.alpha, xc.alpha)
-        assert_array_equal(np.array(new.deltas), np.array(xc.deltas))
-        for d_new, d_old in zip(new.dirs, xc.dirs):
-            assert_array_equal(d_new, d_old)
-
-    def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError):
-            flow(controller(), -0.01, AlgorithmConfig())
-
-    def test_flow_past_the_period_rejected(self):
-        cfg = AlgorithmConfig()
-        with pytest.raises(SchedulingError):
-            flow(controller(tau=cfg.tau_star), cfg.tau_star / 2.0, cfg)
-
-
 class TestMakeController:
     def test_defaults_arm_the_newest_slot(self):
         xc = make_controller(AXES, [0.25, 0.5], phi=1.0)
         assert_array_equal(xc.v, AXES[1])
         assert xc.delta == 0.5
-        assert (xc.tau, xc.lam, xc.alpha_bar) == (0.0, 0.0, 0.0)
+        assert (xc.lam, xc.alpha_bar) == (0.0, 0.0)
         assert (xc.p, xc.m, xc.q, xc.k) == (1, 0, 0, 0)
         assert_array_equal(xc.alpha, np.zeros(2))
 
@@ -386,8 +348,7 @@ class TestClosedLoop:
         assert len(samples) == 80
         for s in samples:
             assert s.t == s.j * cfg.tau_star
-            assert s.controller.tau == 0.0
-        assert [lbl.j for lbl in arc.jumps] == list(range(1, 81))
+        assert [s.j for s in samples] == list(range(1, 81))
         ts = [s.t for s in arc.samples]
         assert all(t2 >= t1 for t1, t2 in zip(ts, ts[1:]))
 
@@ -405,7 +366,7 @@ class TestClosedLoop:
             (core.make_rosenbrock(), [1.5, 0.0]),
         ]:
             arc = closed_loop(obj, x0, 300)
-            check_grammar([lbl.case for lbl in arc.jumps])
+            check_grammar([s.case for s in arc.jump_samples()])
 
     def test_z_nonincreasing_after_warmup(self):
         rng = np.random.default_rng(7)
@@ -509,7 +470,7 @@ class TestClosedLoop:
         for name in calls:
             monkeypatch.setattr(hybrid, name, counting(name, getattr(hybrid, name)))
         arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 120)
-        assert len(arc.jumps) == 120
+        assert len(arc.jump_samples()) == 120
         assert calls == {"classify_jump": 120, "jump": 120}
 
     def test_phi_threshold_stop(self):
@@ -548,7 +509,37 @@ class TestArcCsv:
         assert rows[1][5] == ""
 
 
+# Walker log kinds named by the jump case the controller takes for the same
+# measurement.
+WALKER_CASES = {
+    ("probe_pos", True): JumpCase.D1,
+    ("probe_pos", False): JumpCase.D2,
+    ("probe_neg", False): JumpCase.D2,
+    ("reanchor", False): JumpCase.D3,
+    ("probe_neg", True): JumpCase.D4,
+    ("close", False): JumpCase.D5,
+}
+
+
 class TestEquivalence:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_random_quadratic_routes_agree(self, n, seed):
+        # 100 jumps keeps the steps well above rounding: past about 160 jumps
+        # at n = 1 they reach ~1e-13 and the case labels may part on ties.
+        obj = core.make_random_spd_quadratic(dimension=n, seed=seed)
+        cfg = AlgorithmConfig()
+        xc0 = make_controller([np.eye(n)[i] for i in range(n)], [1.0] * n, 1.0)
+        arc = run_closed_loop(ExactPlant(n), obj, PlantState(np.zeros(n)), xc0,
+                              cfg, StopRule(max_jumps=100))
+        state = rsp.run(obj, np.zeros(n), cfg, StopRule(max_evaluations=100))
+        report = equivalence_check(arc, state.iterate_log, tol=1e-9,
+                                   min_points=100)
+        assert report.ok, report.detail
+        assert [s.case for s in arc.jump_samples()] == [
+            WALKER_CASES[(r.kind, r.accepted)] for r in state.iterate_log
+        ]
+
     def test_quadratic_routes_agree(self):
         obj = core.make_aniso_quadratic()
         x0 = np.array([1.5, 0.0])

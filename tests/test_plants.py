@@ -18,8 +18,6 @@ from directseek.plants import (
     Segment,
     SteeringError,
     get_plant,
-    integrate,
-    steer,
     wrap_angle,
 )
 
@@ -49,7 +47,7 @@ class TestPointMass:
     def test_steer_is_constant_velocity(self):
         pm = PointMassPlant(dimension=2)
         xi = PlantState(x=np.array([0.0, 0.0]))
-        schedule, predicted = steer(pm, xi, np.array([0.1, 0.0]), 1.0)
+        schedule, predicted = pm.steer(xi, np.array([0.1, 0.0]), 1.0)
         assert len(schedule) == 1
         assert schedule[0].duration == 1.0
         assert_allclose(schedule[0].controls, (0.1, 0.0), rtol=1e-15)
@@ -63,15 +61,15 @@ class TestPointMass:
             x0 = rng.uniform(-2, 2, size=2)
             target = rng.uniform(-1, 1, size=2)
             xi = PlantState(x=x0.copy())
-            schedule, _ = steer(pm, xi, target, TAU)
-            out = integrate(pm, xi, schedule, TAU)
+            schedule, _ = pm.steer(xi, target, TAU)
+            out = pm.integrate(xi, schedule, TAU)
             assert_allclose(out.x, x0 + target, atol=1e-12)
 
     def test_constant_control_displacement(self):
         pm = PointMassPlant(dimension=3)
         xi = PlantState(x=np.array([1.0, -1.0, 0.5]))
         u = (0.3, 0.1, -0.2)
-        out = integrate(pm, xi, [Segment(TAU, u)], TAU)
+        out = pm.integrate(xi, [Segment(TAU, u)], TAU)
         assert_allclose(out.x, xi.x + TAU * np.array(u), atol=1e-12)
         assert out.zeta.size == 0
 
@@ -79,17 +77,17 @@ class TestPointMass:
         pm = PointMassPlant(dimension=2)
         xi = PlantState(x=np.array([math.nan, 0.0]))
         with pytest.raises(IntegrationError):
-            integrate(pm, xi, [Segment(TAU, (1.0, 0.0))], TAU)
+            pm.integrate(xi, [Segment(TAU, (1.0, 0.0))], TAU)
 
 
 class TestDubinsSteering:
     def test_aligned_target_needs_no_turn(self):
         db = DubinsPlant(v_max=10.0, u_max=20.0)
         xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.0]))
-        schedule, predicted = steer(db, xi, np.array([0.5, 0.0]), TAU)
+        schedule, predicted = db.steer(xi, np.array([0.5, 0.0]), TAU)
         turn_time = sum(s.duration for s in schedule if s.controls[1] != 0.0)
         assert turn_time == 0.0
-        out = integrate(db, xi, schedule, TAU)
+        out = db.integrate(xi, schedule, TAU)
         assert_allclose(out.x, [0.5, 0.0], atol=1e-9)
         assert_allclose(out.zeta[0], 0.0, atol=1e-12)
         assert_allclose(predicted.x, [0.5, 0.0], atol=1e-9)
@@ -97,8 +95,8 @@ class TestDubinsSteering:
     def test_quarter_turn_endpoint(self):
         db = DubinsPlant(v_max=10.0, u_max=20.0, substeps=1000)
         xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.0]))
-        schedule, _ = steer(db, xi, np.array([0.0, 0.1]), TAU)
-        out = integrate(db, xi, schedule, TAU)
+        schedule, _ = db.steer(xi, np.array([0.0, 0.1]), TAU)
+        out = db.integrate(xi, schedule, TAU)
         err = np.linalg.norm(out.x - np.array([0.0, 0.1]))
         assert err <= 1e-6
         assert_allclose(out.zeta[0], math.pi / 2, atol=1e-9)
@@ -116,7 +114,7 @@ class TestDubinsSteering:
             target = rng.uniform(-0.04, 0.04, size=2)
             if np.linalg.norm(target) < 1e-6:
                 continue
-            schedule, _ = steer(db, xi, target, TAU)
+            schedule, _ = db.steer(xi, target, TAU)
             assert_allclose(sum(s.duration for s in schedule), TAU, atol=1e-12)
             for seg in schedule:
                 speed, turn = seg.controls
@@ -135,16 +133,16 @@ class TestDubinsSteering:
             target = rng.uniform(-0.04, 0.04, size=2)
             if np.linalg.norm(target) < 1e-6:
                 continue
-            schedule, _ = steer(db, xi, target, TAU)
-            out = integrate(db, xi, schedule, TAU)
+            schedule, _ = db.steer(xi, target, TAU)
+            out = db.integrate(xi, schedule, TAU)
             err = np.linalg.norm(out.x - xi.x - target)
             assert err <= 1e-6 * max(1.0, float(np.linalg.norm(target)))
 
     def test_zero_displacement_holds_position(self):
         db = DubinsPlant()
         xi = PlantState(x=np.array([0.3, -0.2]), zeta=np.array([1.0]))
-        schedule, predicted = steer(db, xi, np.array([0.0, 0.0]), TAU)
-        out = integrate(db, xi, schedule, TAU)
+        schedule, predicted = db.steer(xi, np.array([0.0, 0.0]), TAU)
+        out = db.integrate(xi, schedule, TAU)
         assert_allclose(out.x, xi.x, atol=1e-12)
         assert_allclose(out.zeta, xi.zeta, atol=1e-12)
         assert_allclose(predicted.x, xi.x, atol=1e-12)
@@ -154,22 +152,22 @@ class TestDubinsSteering:
         db = DubinsPlant(v_max=10.0, u_max=1.0)
         xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.0]))
         with pytest.raises(SteeringError, match="turn-rate|period"):
-            steer(db, xi, np.array([0.0, 0.1]), TAU)
+            db.steer(xi, np.array([0.0, 0.1]), TAU)
 
     def test_speed_above_cap_rejected(self):
         # covering 10 units within 0.1 s needs 100 u/s against a 10 u/s cap
         db = DubinsPlant(v_max=10.0, u_max=20.0)
         xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.0]))
         with pytest.raises(SteeringError, match="step size|period"):
-            steer(db, xi, np.array([10.0, 0.0]), TAU)
+            db.steer(xi, np.array([10.0, 0.0]), TAU)
 
     def test_heading_stays_wrapped(self):
         db = DubinsPlant(v_max=10.0, u_max=20.0)
         xi = PlantState(x=np.array([0.0, 0.0]),
                         zeta=np.array([math.pi - 0.01]))
         # target behind and below: forces a turn across the branch cut
-        schedule, _ = steer(db, xi, np.array([-0.02, -0.02]), TAU)
-        out = integrate(db, xi, schedule, TAU)
+        schedule, _ = db.steer(xi, np.array([-0.02, -0.02]), TAU)
+        out = db.integrate(xi, schedule, TAU)
         assert -math.pi < out.zeta[0] <= math.pi
 
 
@@ -177,7 +175,7 @@ class TestDubinsIntegration:
     def test_straight_run(self):
         db = DubinsPlant()
         xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.0]))
-        out = integrate(db, xi, [Segment(1.0, (1.0, 0.0))], 1.0)
+        out = db.integrate(xi, [Segment(1.0, (1.0, 0.0))], 1.0)
         assert_allclose(out.x, [1.0, 0.0], atol=1e-12)
 
     def test_circular_arc_against_closed_form(self):
@@ -185,7 +183,7 @@ class TestDubinsIntegration:
         # (sin 1, 1 - cos 1) on the unit circle centered at (0, 1).
         db = DubinsPlant(substeps=100)
         xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.0]))
-        out = integrate(db, xi, [Segment(1.0, (1.0, 1.0))], 1.0)
+        out = db.integrate(xi, [Segment(1.0, (1.0, 1.0))], 1.0)
         exact = np.array([math.sin(1.0), 1.0 - math.cos(1.0)])
         assert np.linalg.norm(out.x - exact) <= 1e-9
         assert_allclose(out.zeta[0], 1.0, atol=1e-12)
@@ -198,7 +196,7 @@ class TestDubinsIntegration:
         for n in (100, 200):
             db = DubinsPlant(substeps=n)
             xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.0]))
-            out = integrate(db, xi, [Segment(1.0, (1.0, 1.0))], 1.0)
+            out = db.integrate(xi, [Segment(1.0, (1.0, 1.0))], 1.0)
             errors[n] = np.linalg.norm(out.x - exact)
         assert errors[100] / errors[200] >= 8.0
 
@@ -206,7 +204,7 @@ class TestDubinsIntegration:
         db = DubinsPlant(substeps=10)
         xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.0]))
         seen: list = []
-        integrate(db, xi, [Segment(1.0, (1.0, 0.0))], 1.0, collect=seen)
+        db.integrate(xi, [Segment(1.0, (1.0, 0.0))], 1.0, collect=seen)
         assert len(seen) >= 10
         times = [t for t, _ in seen]
         assert times == sorted(times)
@@ -247,18 +245,18 @@ def steered_cases():
     cases = []
     for _ in range(50):
         xi = PlantState(x=rng.uniform(-2, 2, size=3))
-        cases.append((pm, xi, steer(pm, xi, rng.uniform(-1, 1, size=3), TAU)[0]))
+        cases.append((pm, xi, pm.steer(xi, rng.uniform(-1, 1, size=3), TAU)[0]))
     for _ in range(50):
         xi = PlantState(x=rng.uniform(-2, 2, size=2),
                         zeta=np.array([rng.uniform(-math.pi, math.pi)]))
-        schedule, _ = steer(db, xi, rng.uniform(-0.04, 0.04, size=2), TAU)
+        schedule, _ = db.steer(xi, rng.uniform(-0.04, 0.04, size=2), TAU)
         assert len(schedule) == 2
         assert schedule[0].controls[0] == 0.0 and schedule[1].controls[1] == 0.0
         cases.append((db, xi, schedule))
     hold = PlantState(x=np.array([0.3, -0.2]), zeta=np.array([1.0]))
-    cases.append((db, hold, steer(db, hold, np.zeros(2), TAU)[0]))
+    cases.append((db, hold, db.steer(hold, np.zeros(2), TAU)[0]))
     cut = PlantState(x=np.array([0.1, 0.2]), zeta=np.array([math.pi - 0.01]))
-    schedule, _ = steer(db, cut, np.array([-0.02, -0.02]), TAU)
+    schedule, _ = db.steer(cut, np.array([-0.02, -0.02]), TAU)
     turn = schedule[0]
     # the turn ends past +pi, so the raw heading leaves (-pi, pi]
     assert math.pi - 0.01 + turn.controls[1] * turn.duration > math.pi
@@ -269,7 +267,7 @@ def steered_cases():
 class TestExactFlow:
     def test_agrees_with_rk4_reference(self):
         for plant, xi, schedule in steered_cases():
-            out = integrate(plant, xi, schedule, TAU)
+            out = plant.integrate(xi, schedule, TAU)
             ref = rk4_reference(plant, xi, schedule, TAU)
             n = out.x.shape[0]
             assert_allclose(out.x, ref[:n], rtol=0.0, atol=1e-12)
@@ -280,9 +278,9 @@ class TestExactFlow:
 class TestCollectInvariance:
     def test_endpoint_unchanged_by_collect(self):
         for plant, xi, schedule in steered_cases():
-            plain = integrate(plant, xi, schedule, TAU)
+            plain = plant.integrate(xi, schedule, TAU)
             rows: list = []
-            dense = integrate(plant, xi, schedule, TAU, collect=rows)
+            dense = plant.integrate(xi, schedule, TAU, collect=rows)
             assert_array_equal(dense.x, plain.x)
             assert_array_equal(dense.zeta, plain.zeta)
             assert len(rows) == plant.substeps
@@ -320,8 +318,8 @@ class TestExactPlant:
         ep = ExactPlant(dimension=2)
         xi = PlantState(x=np.array([0.25, -0.5]))
         target = np.array([0.125, 0.0625])
-        schedule, predicted = steer(ep, xi, target, TAU)
-        out = integrate(ep, xi, schedule, TAU)
+        schedule, predicted = ep.steer(xi, target, TAU)
+        out = ep.integrate(xi, schedule, TAU)
         # binary-exact displacement: this plant exists so the closed loop
         # can be compared bit-for-bit against the discrete route
         assert_array_equal(out.x, xi.x + target)
@@ -332,8 +330,8 @@ class TestExactPlant:
         ep = ExactPlant(dimension=4)
         xi = PlantState(x=np.zeros(4))
         target = np.array([1.0, 2.0, 3.0, 4.0])
-        schedule, _ = steer(ep, xi, target, TAU)
-        out = integrate(ep, xi, schedule, TAU)
+        schedule, _ = ep.steer(xi, target, TAU)
+        out = ep.integrate(xi, schedule, TAU)
         assert_array_equal(out.x, target)
 
 
