@@ -248,6 +248,7 @@ def _build_noise(spec: dict, seed: int):
     return noise_mod.get_noise(kind, **spec)
 
 
+_INITIAL_KEYS = ("x", "controller", "heading")  # heading: Dubins only
 _CONTROLLER_KEYS = ("dirs", "deltas", "phi", "v", "delta", "z")
 _STOP_KEYS = ("max_jumps", "max_evaluations", "phi_threshold")
 
@@ -286,6 +287,11 @@ def run_experiment(
     model = _build_noise(config.noise, config.seed)
     xc0 = _build_controller(config.initial["controller"])
 
+    _reject_unknown(
+        "initial key",
+        config.initial,
+        _INITIAL_KEYS if plant.kind == "dubins" else _INITIAL_KEYS[:2],
+    )
     x0 = np.asarray(config.initial["x"], dtype=float)
     if plant.kind == "dubins":
         xi0 = plant.initial_state(x0, float(config.initial.get("heading", 0.0)))

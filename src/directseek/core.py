@@ -29,6 +29,7 @@ __all__ = [
     "StopRule",
     "active_slot",
     "passes_determinant_guard",
+    "phi_update",
     "check_robust_start",
     "line_end_step",
     "close_cycle",
@@ -299,6 +300,27 @@ def passes_determinant_guard(
     return abs(direction_determinant([*trailing, candidate])) >= delta_det
 
 
+def phi_update(
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    trailing_dirs: Sequence[np.ndarray],
+    d0: np.ndarray,
+    delta_det: float,
+) -> np.ndarray:
+    """Cycle-end direction candidate acceptance.
+
+    Candidate is ``alpha + beta`` (cycle displacement plus final-line travel).
+    It replaces the newest slot when the matrix with rows
+    ``trailing_dirs + [candidate]`` has ``|det| >= delta_det`` (equality
+    accepts); otherwise the oldest direction ``d0`` is recycled, making the
+    whole update a pure rotation of the direction list.
+    """
+    candidate = np.asarray(alpha, dtype=float) + np.asarray(beta, dtype=float)
+    if passes_determinant_guard(trailing_dirs, candidate, delta_det):
+        return candidate
+    return np.asarray(d0, dtype=float).copy()
+
+
 def check_robust_start(directions, cfg: AlgorithmConfig) -> None:
     """Robust mode (``phi_min > 0``) needs a starting direction set that
     clears the determinant guard; raises `ConfigError` otherwise."""
@@ -338,8 +360,9 @@ def close_cycle(
     the earlier lines' displacement ``alpha`` and travel ``alpha_bar``, and
     the closing line's travel ``lam`` along ``v``.  A blocked cycle contracts
     ``phi`` by ``mu`` (floored at ``phi_min``).  Slots shift down one; the
-    newest takes the guarded candidate ``alpha + lam * v`` (else the oldest
-    direction) and the largest old step, all steps clipped to the box.
+    newest takes the direction `phi_update` returns for the candidate
+    ``alpha + lam * v`` and the largest old step, all steps clipped to the
+    box.
     Shares, and never writes to, the input arrays.
     """
     n = len(dirs)
@@ -349,9 +372,7 @@ def close_cycle(
     if blocked and cfg.phi_min > 0.0:
         phi_new = max(phi_new, cfg.phi_min)
 
-    candidate = alpha + lam * v
-    guard = passes_determinant_guard(dirs[1:], candidate, cfg.delta_det)
-    new_dir = candidate if guard else dirs[0]
+    new_dir = phi_update(alpha, lam * v, dirs[1:], dirs[0], cfg.delta_det)
 
     lo, hi = cfg.lambda_s * phi_new, cfg.lambda_t * phi_new
 

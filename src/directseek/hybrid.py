@@ -40,7 +40,7 @@ from .core import (
     check_robust_start,
     close_cycle,
     line_end_step,
-    passes_determinant_guard,
+    phi_update,
     rho,
     validate_config,
 )
@@ -200,27 +200,6 @@ def classify_jump(xc: ControllerState, y: float) -> JumpCase:
             f"negative probe with q={xc.q}: unreachable state"
         )
     return JumpCase.D2
-
-
-def phi_update(
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    trailing_dirs: Sequence[np.ndarray],
-    d0: np.ndarray,
-    delta_det: float,
-) -> np.ndarray:
-    """Cycle-end direction candidate acceptance.
-
-    Candidate is ``alpha + beta`` (cycle displacement plus final-line travel).
-    It replaces the newest slot when the matrix with rows
-    ``trailing_dirs + [candidate]`` has ``|det| >= delta_det`` (equality
-    accepts); otherwise the oldest direction ``d0`` is recycled, making the
-    whole update a pure rotation of the direction list.
-    """
-    candidate = np.asarray(alpha, dtype=float) + np.asarray(beta, dtype=float)
-    if passes_determinant_guard(trailing_dirs, candidate, delta_det):
-        return candidate
-    return np.asarray(d0, dtype=float).copy()
 
 
 def _next(xc: ControllerState) -> ControllerState:

@@ -184,6 +184,9 @@ class TestMain:
         assert cli.main(["run", str(path)]) == 2
         assert "theta" in capsys.readouterr().err
 
+    _TYPO_CONTROLLER = {"dirs": [[1.0, 0.0], [0.0, 1.0]],
+                        "deltas": [0.01, 0.01], "phi": 0.01}
+
     @pytest.mark.parametrize("section, key, spec", [
         ("algorithm", "gama", {"gama": 1.2}),
         ("plant", "substep", {"kind": "point_mass", "substep": 10}),
@@ -193,7 +196,12 @@ class TestMain:
                                  "deltas": [0.01, 0.01], "phi": 0.01,
                                  "detla": 0.01}),
         ("stop", "max_cycles", {"max_jumps": 40, "max_cycles": 5}),
-    ], ids=["algorithm", "plant", "noise", "objective", "controller", "stop"])
+        ("initial", "headng", {"x": [1.5, 0.0], "headng": 0.0,
+                               "controller": _TYPO_CONTROLLER}),
+        ("initial", "heading", {"x": [1.5, 0.0], "heading": 0.0,
+                                "controller": _TYPO_CONTROLLER}),
+    ], ids=["algorithm", "plant", "noise", "objective", "controller", "stop",
+            "initial", "heading-on-point-mass"])
     def test_config_typo_is_a_usage_error(self, tmp_path, capsys, section,
                                           key, spec):
         data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()

@@ -208,6 +208,10 @@ class TestJumpMaps:
 
 
 class TestPhiUpdate:
+    def test_one_rule_for_both_routes(self):
+        # close_cycle (walker and controller) calls the function tested here
+        assert phi_update is core.phi_update
+
     def test_independent_candidate_accepted(self):
         out = phi_update(np.array([0.0, 0.5]), np.array([0.0, 0.5]),
                          [np.array([1.0, 0.0])], np.array([0.0, 1.0]), 0.001)
