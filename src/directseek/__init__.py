@@ -12,6 +12,7 @@ from .core import (
     AlgorithmConfig,
     ConfigError,
     DirectionSet,
+    EvaluationError,
     ObjectiveFunction,
     StopRule,
     direction_determinant,
@@ -32,7 +33,6 @@ from .plants import (
 )
 from .rsp import (
     EvalRecord,
-    EvaluationError,
     ExactCycleReport,
     LineMinResult,
     RspState,

@@ -36,6 +36,7 @@ from .core import (
     AlgorithmConfig,
     ConfigError,
     DirectionSet,
+    EvaluationError,
     StopRule,
     get_objective,
     log_rho,
@@ -585,7 +586,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (plants.SteeringError, plants.IntegrationError, hybrid.AutomatonError) as exc:
+    except (
+        plants.SteeringError,
+        plants.IntegrationError,
+        hybrid.AutomatonError,
+        EvaluationError,
+    ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {out_dir}")

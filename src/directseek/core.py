@@ -34,6 +34,7 @@ __all__ = [
     "line_end_step",
     "close_cycle",
     "ObjectiveFunction",
+    "EvaluationError",
     "make_sphere",
     "make_aniso_quadratic",
     "make_rosenbrock",
@@ -413,6 +414,22 @@ class ObjectiveFunction:
 
     def __call__(self, x) -> float:
         return float(self.evaluate(np.asarray(x, dtype=float)))
+
+
+class EvaluationError(RuntimeError):
+    """The objective returned a non-finite value.
+
+    Both routes check each measurement before adding noise and raise this
+    instead of acting on it.  Carries the offending ``point`` and the
+    returned ``value``.
+    """
+
+    def __init__(self, point, value: float):
+        self.point = np.asarray(point, dtype=float).copy()
+        self.value = float(value)
+        super().__init__(
+            f"objective returned non-finite value {value!r} at {self.point!r}"
+        )
 
 
 def make_sphere(dimension: int = 2) -> ObjectiveFunction:

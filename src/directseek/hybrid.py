@@ -35,6 +35,7 @@ import numpy as np
 from .core import (
     AlgorithmConfig,
     ConfigError,
+    EvaluationError,
     StopRule,
     active_slot,
     check_robust_start,
@@ -387,6 +388,8 @@ def run_closed_loop(
     (``phi_min > 0``) additionally requires the initial direction set to
     clear the determinant safeguard.  Raises `ValueError` when the plant
     emits fewer than ``F + 1`` dense rows a period (`ExactPlant` emits one).
+    Raises `EvaluationError` when the objective returns a non-finite value,
+    as the walker does.
     """
     violations = validate_config(cfg)
     if violations:
@@ -445,6 +448,8 @@ def run_closed_loop(
 
         j += 1
         y = float(objective(xi.x))
+        if not math.isfinite(y):
+            raise EvaluationError(xi.x, y)
         if noise is not None:
             y += float(noise.sample(j, xc.delta, xc.v))
         case = classify_jump(xc, y)

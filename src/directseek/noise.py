@@ -85,8 +85,18 @@ class ZeroNoise(NoiseModel):
     kind = "zero"
 
 
+# Uniforms `BoundedRandomNoise` draws per call to its generator.
+_BLOCK = 1024
+
+
 class BoundedRandomNoise(NoiseModel):
-    """Seeded uniform noise on ``[-bound, bound]``."""
+    """Seeded uniform noise on ``[-bound, bound]``.
+
+    The uniforms are drawn ``_BLOCK`` at a time and handed out one per
+    sample.  numpy's sized draw computes each element as the scalar draw
+    does, so the values are bitwise those of one
+    ``default_rng(seed).uniform(-bound, bound)`` call per sample.
+    """
 
     kind = "bounded_random"
 
@@ -96,14 +106,21 @@ class BoundedRandomNoise(NoiseModel):
             raise ValueError(f"bound must be >= 0, got {bound}")
         self.bound = float(bound)
         self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
+        self.reset()
 
     def _value(self, k: int, delta: float, direction) -> float:
-        return float(self._rng.uniform(-self.bound, self.bound))
+        value = next(self._block, None)
+        if value is None:
+            self._block = iter(
+                self._rng.uniform(-self.bound, self.bound, _BLOCK).tolist()
+            )
+            value = next(self._block)
+        return value
 
     def reset(self) -> None:
         super().reset()
         self._rng = np.random.default_rng(self.seed)
+        self._block = iter(())
 
 
 class AdversarialJamNoise(NoiseModel):

@@ -30,6 +30,7 @@ from .core import (
     AlgorithmConfig,
     ConfigError,
     DirectionSet,
+    EvaluationError,
     StopRule,
     active_slot,
     check_robust_start,
@@ -57,21 +58,7 @@ __all__ = [
 ]
 
 
-class EvaluationError(RuntimeError):
-    """The objective returned a non-finite value.
-
-    Carries the offending ``point`` and the returned ``value``.
-    """
-
-    def __init__(self, point, value: float):
-        self.point = np.asarray(point, dtype=float).copy()
-        self.value = float(value)
-        super().__init__(
-            f"objective returned non-finite value {value!r} at {self.point!r}"
-        )
-
-
-@dataclass
+@dataclass(slots=True)
 class EvalRecord:
     """One objective measurement.
 
@@ -81,6 +68,10 @@ class EvalRecord:
     minimization).  ``accepted`` marks probes that passed the
     sufficient-decrease test; ``anchor`` is the best point at the time of the
     measurement; ``index`` is the 1-based global measurement counter.
+
+    ``x`` is the very array the objective was called with, and every record
+    of one line minimization shares its ``anchor`` array.  Both are shared
+    with the walker and must be treated as read-only.
     """
 
     index: int
@@ -179,8 +170,10 @@ def _line_minimize(
 
     Probes the positive side first; only if the very first probe fails does
     the walker re-measure the anchor and sweep the negative side.  Every trial
-    point is recomputed from the anchor as ``anchor + lam * v`` (never
-    incrementally), so rejected probes cannot perturb the iterate.
+    point is computed from the anchor as ``anchor + lam * v`` (never
+    incrementally), so rejected probes cannot perturb the iterate.  Each log
+    record holds the array that was measured and shares ``anchor``; no array
+    is modified after it is built.
 
     Returns ``(lam, delta_final, accepted_count, close_value, best_point)``
     where ``close_value`` is the re-measurement at the best point that ends
@@ -188,7 +181,7 @@ def _line_minimize(
     """
 
     def emit(
-        lam_probe: float,
+        x: np.ndarray,
         y: float,
         kind: str,
         accepted: bool,
@@ -198,16 +191,8 @@ def _line_minimize(
         if log is not None:
             log.append(
                 EvalRecord(
-                    index=meter.count,
-                    cycle=cycle,
-                    slot=slot,
-                    step=step,
-                    x=anchor + lam_probe * v,
-                    measured=y,
-                    kind=kind,
-                    accepted=accepted,
-                    anchor=anchor.copy(),
-                    delta=delta_used,
+                    meter.count, cycle, slot, step, x, y, kind, accepted,
+                    anchor, delta_used,
                 )
             )
 
@@ -224,16 +209,16 @@ def _line_minimize(
             z = y
             delta = min(cfg.gamma * delta, cfg.lambda_t * phi)
             accepted += 1
-            emit(lam, y, "probe_pos", True, accepted, delta_used)
+            emit(probe, y, "probe_pos", True, accepted, delta_used)
             continue
-        emit(lam + delta, y, "probe_pos", False, accepted, delta_used)
+        emit(probe, y, "probe_pos", False, accepted, delta_used)
         break
 
     if accepted == 0:
         # First probe failed: re-anchor, then sweep the negative side.
         y = meter.measure(anchor, delta, v)
         z = y
-        emit(0.0, y, "reanchor", False, 0, delta)
+        emit(anchor, y, "reanchor", False, 0, delta)
         while True:
             delta_used = delta
             probe = anchor + (lam - delta) * v
@@ -243,14 +228,14 @@ def _line_minimize(
                 z = y
                 delta = min(cfg.gamma * delta, cfg.lambda_t * phi)
                 accepted += 1
-                emit(lam, y, "probe_neg", True, accepted, delta_used)
+                emit(probe, y, "probe_neg", True, accepted, delta_used)
                 continue
-            emit(lam - delta, y, "probe_neg", False, accepted, delta_used)
+            emit(probe, y, "probe_neg", False, accepted, delta_used)
             break
 
     best = anchor + lam * v
     y = meter.measure(best, delta, v)
-    emit(lam, y, "close", False, accepted, delta)
+    emit(best, y, "close", False, accepted, delta)
     return lam, delta, accepted, y, best
 
 
@@ -295,6 +280,8 @@ class _Walker:
     ):
         self.cfg = cfg
         self.st = state
+        # Log records share the iterate arrays, so none may alias the caller's.
+        state.x = state.x.copy()
         self.meter = _Meter(objective, noise, max_evaluations)
         self.meter.count = state.evaluations
 

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from directseek import cli
+from directseek import cli, core
 from directseek.core import ConfigError
 
 
@@ -74,7 +74,8 @@ class TestRunExperiment:
         config.stop["max_jumps"] = 50
         config.noise = {"kind": "bounded_random", "bound": 1e-6}
         cli.run_experiment(config, str(tmp_path))
-        rows = list(csv.reader((tmp_path / "noise.csv").open()))
+        with (tmp_path / "noise.csv").open() as fp:
+            rows = list(csv.reader(fp))
         assert rows[0] == ["k", "value"]
         assert len(rows) == 51
         assert all(abs(float(r[1])) <= 1e-6 for r in rows[1:])
@@ -227,6 +228,28 @@ class TestMain:
             "arc.csv", "config.json", "summary.json",
         ]
 
+    def test_non_finite_objective_is_a_run_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # inf on x < 0: the first negative probe from 0.25 lands at -0.75.
+        monkeypatch.setitem(core.OBJECTIVE_BUILDERS, "pocket", lambda: (
+            core.ObjectiveFunction(
+                "pocket", 1,
+                lambda x: float("inf") if x[0] < 0 else float(x[0] ** 2),
+            )))
+        data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()
+        data.update(
+            objective={"name": "pocket"},
+            plant={"kind": "exact", "dimension": 1},
+            initial={"x": [0.25], "controller": {
+                "dirs": [[1.0]], "deltas": [1.0], "phi": 1.0}},
+            stop={"max_jumps": 50},
+        )
+        path = tmp_path / "pocket.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", str(path), "--out",
+                         str(tmp_path / "out")]) == 1
+        assert "EvaluationError" in capsys.readouterr().err
+
     def test_echo_only_and_seed_override(self, tmp_path, capsys,
                                          monkeypatch):
         monkeypatch.setenv("DIRECTSEEK_OUT", str(tmp_path))
@@ -246,7 +269,8 @@ class TestMain:
         rc = cli.main(["rho-table", "--min", "0.5", "--max", "4",
                        "--points", "3", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        with out.open() as fp:
+            rows = list(csv.reader(fp))
         assert rows[0] == ["delta", "rho", "log_rho", "flag"]
         assert len(rows) == 4
         assert float(rows[1][1]) == 0.25
@@ -261,6 +285,7 @@ class TestMain:
     def test_bench_writes_csv(self, tmp_path, capsys):
         rc = cli.main(["bench", "convergence", "--out", str(tmp_path)])
         assert rc == 0
-        rows = list(csv.reader((tmp_path / "bench_convergence.csv").open()))
+        with (tmp_path / "bench_convergence.csv").open() as fp:
+            rows = list(csv.reader(fp))
         assert rows[0][0] == "dimension"
         assert len(rows) == 13

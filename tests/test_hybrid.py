@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import directseek
 from directseek import core, hybrid, plants, rsp
 from directseek.core import AlgorithmConfig, StopRule
 from directseek.hybrid import (
@@ -22,6 +23,12 @@ from directseek.hybrid import (
     make_controller,
     phi_update,
     run_closed_loop,
+)
+from directseek.noise import (
+    AdversarialDragNoise,
+    AdversarialJamNoise,
+    BoundedRandomNoise,
+    PhasedNoise,
 )
 from directseek.plants import ExactPlant, PlantState
 
@@ -525,6 +532,27 @@ WALKER_CASES = {
 }
 
 
+def jam(bound):
+    return AdversarialJamNoise(bound, grad_bound=10.0, dir_bound=3.0,
+                               theta=AlgorithmConfig().theta)
+
+
+# Noise kind -> (fresh model, measurement at which the jam switches on).
+NOISE_CASES = {
+    "bounded": (lambda: BoundedRandomNoise(1e-2, seed=3), None),
+    "jam-1e-3": (lambda: jam(1e-3), 148),
+    "jam-1e-2": (lambda: jam(1e-2), 124),
+    "drag": (lambda: AdversarialDragNoise(10.0, 3.0, start=100), None),
+    "jam-then-drag": (
+        lambda: PhasedNoise([
+            (jam(1e-3), 1),
+            (AdversarialDragNoise(10.0, 3.0, start=300), 300),
+        ]),
+        148,
+    ),
+}
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [1, 3])
@@ -587,3 +615,58 @@ class TestEquivalence:
             expected *= cfg.mu
         assert arc.final_sample().controller.phi == expected
         assert state.phi == expected
+
+    @pytest.mark.parametrize("kind", list(NOISE_CASES))
+    def test_routes_agree_under_noise(self, kind):
+        make_noise, activation = NOISE_CASES[kind]
+        obj = core.make_aniso_quadratic()
+        x0 = np.array([1.5, 0.0])
+        cfg = AlgorithmConfig()
+        loop_noise, walker_noise = make_noise(), make_noise()
+        arc = run_closed_loop(ExactPlant(), obj, PlantState(x0.copy()),
+                              make_controller(AXES, [1.0, 1.0], 1.0), cfg,
+                              StopRule(max_jumps=600), noise=loop_noise)
+        state = rsp.run(obj, x0, cfg, StopRule(max_evaluations=600),
+                        noise=walker_noise)
+        report = equivalence_check(arc, state.iterate_log, tol=1e-9,
+                                   min_points=600)
+        assert report.ok, report.detail
+        assert [s.case for s in arc.jump_samples()] == [
+            WALKER_CASES[(r.kind, r.accepted)] for r in state.iterate_log
+        ]
+        assert loop_noise.history == walker_noise.history
+        assert len(walker_noise.history) == 600
+
+        def jam_activation(model):
+            if isinstance(model, PhasedNoise):
+                model = model.phases[0][0]
+            return getattr(model, "activated_at", None)
+
+        assert jam_activation(loop_noise) == jam_activation(walker_noise)
+        assert jam_activation(walker_noise) == activation
+
+
+class TestNonFiniteMeasurement:
+    def test_both_routes_raise_at_the_same_point(self):
+        # inf on x < 0: from 0.25 the probe at 1.25 fails, the walk re-anchors
+        # and the negative probe at -0.75 measures inf.
+        pocket = core.ObjectiveFunction(
+            "pocket", 1,
+            lambda x: float("inf") if x[0] < 0 else float(x[0] ** 2),
+        )
+        x0 = np.array([0.25])
+        cfg = AlgorithmConfig()
+        with pytest.raises(core.EvaluationError) as walker:
+            rsp.run(pocket, x0, cfg, StopRule(max_evaluations=50))
+        with pytest.raises(core.EvaluationError) as loop:
+            run_closed_loop(ExactPlant(1), pocket, PlantState(x0.copy()),
+                            make_controller([np.array([1.0])], [1.0], 1.0),
+                            cfg, StopRule(max_jumps=50))
+        assert walker.value.value == loop.value.value == math.inf
+        assert walker.value.point.tolist() == [-0.75]
+        assert_allclose(loop.value.point, walker.value.point, rtol=0,
+                        atol=1e-9)
+
+    def test_one_error_class(self):
+        assert rsp.EvaluationError is core.EvaluationError
+        assert directseek.EvaluationError is core.EvaluationError

@@ -53,6 +53,24 @@ class TestBoundedRandomNoise:
         second = [model.sample(k, 0.5, D) for k in range(1, 50)]
         assert first == second
 
+    @pytest.mark.parametrize("bound", [0.0, 1e-6, 0.25])
+    def test_block_draws_equal_scalar_draws(self, bound):
+        # 2500 samples cross two block boundaries; the reset falls mid-block.
+        def scalar_draws(count):
+            rng = np.random.default_rng(5)
+            return [float(rng.uniform(-bound, bound)) for _ in range(count)]
+
+        model = BoundedRandomNoise(bound, seed=5)
+        for k in range(1, 701):
+            model.sample(k, 0.5, D)
+        assert np.array(model.history).tobytes() == np.array(
+            scalar_draws(700)).tobytes()
+        model.reset()
+        for k in range(1, 2501):
+            model.sample(k, 0.5, D)
+        assert np.array(model.history).tobytes() == np.array(
+            scalar_draws(2500)).tobytes()
+
 
 class TestAdversarialJam:
     def test_recursion_arithmetic(self):

@@ -1,6 +1,7 @@
 """Tests for the discrete-route walker: line minimization with sufficient
 decrease, cycle mechanics, step-size laws, the conjugate-direction update,
 and the exact-minimization mode used by the quadratic-termination checks."""
+import copy
 import math
 
 import numpy as np
@@ -203,6 +204,74 @@ class TestRun:
             range(1, len(state.iterate_log) + 1)
         )
         assert state.evaluations == len(state.iterate_log)
+
+
+def recording_quadratic(seen):
+    """The anisotropic quadratic, logging each argument and a copy of it."""
+    base = core.make_aniso_quadratic()
+
+    def evaluate(x):
+        seen.append((x, x.copy()))
+        return base.evaluate(x)
+
+    return core.ObjectiveFunction("recording", 2, evaluate)
+
+
+def assert_same_records(before, after):
+    assert len(after) >= len(before)
+    for old, new in zip(before, after):
+        assert new.x.tobytes() == old.x.tobytes()
+        assert new.anchor.tobytes() == old.anchor.tobytes()
+        assert (new.index, new.cycle, new.slot, new.step, new.measured,
+                new.kind, new.accepted, new.delta) == (
+            old.index, old.cycle, old.slot, old.step, old.measured,
+            old.kind, old.accepted, old.delta)
+
+
+class TestIterateLog:
+    AXES = DirectionSet([np.array([1.0, 0.0]), np.array([0.0, 1.0])],
+                        [1.0, 1.0])
+
+    def test_records_hold_the_measured_arrays(self):
+        seen = []
+        x0 = np.array([1.5, 0.0])
+        state = rsp.run(recording_quadratic(seen), x0, AlgorithmConfig(),
+                        StopRule(max_evaluations=300), directions=self.AXES)
+        log = state.iterate_log
+        assert len(log) == len(seen) == 300
+        for record, (arg, snapshot) in zip(log, seen):
+            assert record.x is arg
+            assert record.x.tobytes() == snapshot.tobytes()
+            assert record.x is not x0 and record.anchor is not x0
+        reanchors = [r for r in log if r.kind == "reanchor"]
+        assert reanchors
+        assert all(r.x is r.anchor for r in reanchors)
+        for prev, record in zip(log, log[1:]):
+            if (prev.cycle, prev.slot) == (record.cycle, record.slot):
+                assert record.anchor is prev.anchor
+
+    def test_later_cycles_and_the_caller_leave_the_log_unchanged(self):
+        obj = core.make_aniso_quadratic()
+        cfg = AlgorithmConfig()
+        x0 = np.array([1.5, 0.0])
+        state = rsp.RspState(x=x0, directions=self.AXES.copy(), phi=1.0,
+                             z=0.0)
+        for _ in range(2):
+            rsp.rsp_cycle(obj, state, cfg)
+        mid = copy.deepcopy(state.iterate_log)
+        for _ in range(20):
+            rsp.rsp_cycle(obj, state, cfg)
+        x0[:] = 99.0
+        assert len(state.iterate_log) > len(mid)
+        assert_same_records(mid, state.iterate_log)
+
+    def test_mutating_the_start_after_run_leaves_the_log_unchanged(self):
+        x0 = np.array([1.5, 0.0])
+        state = rsp.run(core.make_aniso_quadratic(), x0, AlgorithmConfig(),
+                        StopRule(max_evaluations=200), directions=self.AXES)
+        before = copy.deepcopy(state.iterate_log)
+        x0[:] = 99.0
+        assert_same_records(before, state.iterate_log)
 
 
 class TestSufficientDecreaseLedger:
