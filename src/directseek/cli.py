@@ -314,37 +314,28 @@ def run_experiment(
     )
     elapsed = time.perf_counter() - start
 
-    final = arc.final_sample()
-    jumps = arc.jump_samples()
-    case_counts: dict[str, int] = {}
-    for s in jumps:
-        case_counts[s.case.value] = case_counts.get(s.case.value, 0) + 1
-
-    warm = [s for s in jumps if s.j >= 3]
-    violations_count = sum(
-        1
-        for a, b in zip(warm, warm[1:])
-        if b.controller.z > a.controller.z + 1e-12
-    )
+    final_x, final_xc = arc.plant[-1].x, arc.controller[-1]
+    case_counts = {c.value: n for c in hybrid.JumpCase if (n := arc.case.count(c))}
+    warm_z = [arc.controller[i].z for i in arc.jump_rows() if arc.j[i] >= 3]
+    violations_count = sum(1 for a, b in zip(warm_z, warm_z[1:]) if b > a + 1e-12)
 
     dist: Optional[float] = None
     if objective.known_minimizers:
         dist = min(
-            float(np.linalg.norm(final.plant.x - m))
-            for m in objective.known_minimizers
+            float(np.linalg.norm(final_x - m)) for m in objective.known_minimizers
         )
 
     summary = RunSummary(
         scenario=config.name,
         seed=config.seed,
-        jumps=len(jumps),
+        jumps=sum(case_counts.values()),
         stopped=arc.stopped,
-        final_x=[float(v) for v in final.plant.x],
-        final_f=float(objective(final.plant.x)),
-        final_z=float(final.controller.z),
-        final_phi=float(final.controller.phi),
-        final_delta=float(final.controller.delta),
-        case_counts=dict(sorted(case_counts.items())),
+        final_x=[float(v) for v in final_x],
+        final_f=float(objective(final_x)),
+        final_z=float(final_xc.z),
+        final_phi=float(final_xc.phi),
+        final_delta=float(final_xc.delta),
+        case_counts=case_counts,
         z_violations_after_warmup=violations_count,
         distance_to_minimizer=dist,
         wall_clock_seconds=elapsed,

@@ -32,6 +32,7 @@ __all__ = [
     "phi_update",
     "check_robust_start",
     "line_end_step",
+    "line_travel",
     "close_cycle",
     "ObjectiveFunction",
     "EvaluationError",
@@ -345,6 +346,12 @@ def line_end_step(lam: float, step: float, phi: float, cfg: AlgorithmConfig) -> 
     return step
 
 
+def line_travel(lam: float, v: np.ndarray) -> float:
+    """Travel-meter increment of a line that moved ``lam`` along ``v``:
+    ``|lam| * ||v||``, the norm as numpy's 1-D fast path computes it."""
+    return abs(lam) * math.sqrt(v.dot(v))
+
+
 def close_cycle(
     dirs: list[np.ndarray],
     steps: list[float],
@@ -367,7 +374,7 @@ def close_cycle(
     Shares, and never writes to, the input arrays.
     """
     n = len(dirs)
-    travel = alpha_bar + abs(lam) * float(np.linalg.norm(v))
+    travel = alpha_bar + line_travel(lam, v)
     blocked = travel <= min(steps) / 2.0
     phi_new = cfg.mu * phi if blocked else phi
     if blocked and cfg.phi_min > 0.0:
@@ -417,19 +424,18 @@ class ObjectiveFunction:
 
 
 class EvaluationError(RuntimeError):
-    """The objective returned a non-finite value.
+    """A measurement (objective value plus noise) is non-finite.
 
-    Both routes check each measurement before adding noise and raise this
-    instead of acting on it.  Carries the offending ``point`` and the
-    returned ``value``.
+    Both routes check each measurement once, after adding noise, and raise
+    this instead of acting on it, so a non-finite objective value and a
+    non-finite noise value fail the run alike.  Carries the offending
+    ``point`` and the measured ``value``.
     """
 
     def __init__(self, point, value: float):
         self.point = np.asarray(point, dtype=float).copy()
         self.value = float(value)
-        super().__init__(
-            f"objective returned non-finite value {value!r} at {self.point!r}"
-        )
+        super().__init__(f"non-finite measurement {value!r} at {self.point!r}")
 
 
 def make_sphere(dimension: int = 2) -> ObjectiveFunction:

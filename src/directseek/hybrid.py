@@ -19,14 +19,18 @@ very first positive probe fails (a successful positive run arrives from the
 negative side already).
 
 The line-search traversal here is written independently of `directseek.rsp`;
-both routes take the slot map, the determinant guard and the cycle-close
-rebuild from `directseek.core`.  `equivalence_check` verifies the two routes
-measure the field at identical points.
+both routes take the slot map, the determinant guard, the travel meter and
+the cycle-close rebuild from `directseek.core`.  `equivalence_check`
+verifies the two routes measure the field at identical points.
+
+A run is logged as a `HybridArc`: parallel columns, one row per logged
+hybrid time ``(t, j)``, sharing the loop's never-mutated states.  Its views
+build `ArcSample` rows on demand.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -41,6 +45,7 @@ from .core import (
     check_robust_start,
     close_cycle,
     line_end_step,
+    line_travel,
     phi_update,
     rho,
     validate_config,
@@ -95,8 +100,8 @@ class ControllerState:
     ``j * tau_star`` is its clock.
 
     States are treated as immutable: `jump` returns a new state sharing the
-    unchanged arrays with its input, and `ArcSample`s hold the loop's states,
-    not copies.  `copy` is a deep copy.
+    unchanged arrays with its input, and a `HybridArc` holds the loop's
+    states, not copies.  `copy` is a deep copy.
     """
 
     phi: float
@@ -124,21 +129,11 @@ class ControllerState:
         return len(self.dirs)
 
     def copy(self) -> "ControllerState":
-        return ControllerState(
-            phi=self.phi,
-            z=self.z,
-            lam=self.lam,
-            alpha=self.alpha.copy(),
-            alpha_bar=self.alpha_bar,
-            p=self.p,
-            m=self.m,
-            q=self.q,
-            k=self.k,
-            v=self.v.copy(),
-            delta=self.delta,
-            dirs=[d.copy() for d in self.dirs],
-            deltas=list(self.deltas),
-        )
+        # Through __init__: `_next` clones by __dict__.update, and a state
+        # built without it gives every clone a larger, unshared-key dict.
+        return replace(self, alpha=self.alpha.copy(), v=self.v.copy(),
+                       dirs=[d.copy() for d in self.dirs],
+                       deltas=list(self.deltas))
 
 
 def make_controller(
@@ -264,7 +259,7 @@ def _g5(xc: ControllerState, y: float, cfg: AlgorithmConfig) -> ControllerState:
         a = active_slot(c, n)
         new.deltas[a] = line_end_step(xc.lam, xc.deltas[a], xc.phi, cfg)
         new.alpha = xc.alpha + xc.lam * xc.v
-        new.alpha_bar = xc.alpha_bar + abs(xc.lam) * float(np.linalg.norm(xc.v))
+        new.alpha_bar = xc.alpha_bar + line_travel(xc.lam, xc.v)
         new.k = c + 1
         new.v = xc.dirs[c]
         new.delta = new.deltas[c]
@@ -305,14 +300,12 @@ def jump(
     return _JUMP_MAPS[case](xc, y, cfg)
 
 
-@dataclass
+@dataclass(slots=True)
 class ArcSample:
-    """One logged point of the closed-loop trajectory.
+    """One row of a `HybridArc`, as its views return it.
 
     Jump rows carry the measured value and the jump case; the initial row
-    and intra-period flow rows leave both unset.  ``plant``/``controller``
-    are the loop's (never mutated) states, not copies: a jump row and the
-    next period's intra-period rows share one controller state.
+    and intra-period flow rows leave both unset.
     """
 
     t: float
@@ -325,17 +318,46 @@ class ArcSample:
 
 @dataclass
 class HybridArc:
-    """Closed-loop run log: the initial row, dense intra-period rows and one
-    row per jump (`jump_samples`)."""
+    """Closed-loop run log as parallel columns: the initial row, dense
+    intra-period rows and one row per jump (``case``/``measured`` are None
+    except on jump rows).  ``plant``/``controller`` hold the loop's
+    never-mutated states: a jump row and the next period's intra-period rows
+    share one controller state.  `samples`, `jump_samples` and
+    `final_sample` are views that build `ArcSample` rows on each call.
+    """
 
-    samples: list[ArcSample] = field(default_factory=list)
+    t: list[float] = field(default_factory=list)
+    j: list[int] = field(default_factory=list)
+    case: list[Optional[JumpCase]] = field(default_factory=list)
+    measured: list[Optional[float]] = field(default_factory=list)
+    plant: list[PlantState] = field(default_factory=list)
+    controller: list[ControllerState] = field(default_factory=list)
     stopped: str = ""
+
+    def append(self, t, j, plant, controller, measured=None, case=None) -> None:
+        """Log one row."""
+        self.t.append(t)
+        self.j.append(j)
+        self.plant.append(plant)
+        self.controller.append(controller)
+        self.measured.append(measured)
+        self.case.append(case)
+
+    def jump_rows(self) -> list[int]:
+        """Indices of the jump rows, in order."""
+        return [i for i, c in enumerate(self.case) if c is not None]
+
+    @property
+    def samples(self) -> list[ArcSample]:
+        return list(map(ArcSample, self.t, self.j, self.plant, self.controller,
+                        self.measured, self.case))
 
     def jump_samples(self) -> list[ArcSample]:
         return [s for s in self.samples if s.case is not None]
 
     def final_sample(self) -> ArcSample:
-        return self.samples[-1]
+        return ArcSample(self.t[-1], self.j[-1], self.plant[-1],
+                         self.controller[-1], self.measured[-1], self.case[-1])
 
     def write_csv(self, fp) -> None:
         """Write the arc as CSV with columns
@@ -343,11 +365,13 @@ class HybridArc:
 
         Floats are emitted with ``repr`` (shortest round-trip form, which is
         how the csv module formats a Python float) so equal runs produce
-        byte-identical files.
+        byte-identical files.  Rows stream from the columns one at a time;
+        the csv module writes a `JumpCase` as its value and None as an empty
+        field.
         """
         import csv
 
-        n = self.samples[0].plant.x.shape[0] if self.samples else 0
+        n = self.plant[0].x.shape[0] if self.plant else 0
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(
             ["t", "j", "case"]
@@ -355,11 +379,12 @@ class HybridArc:
             + ["f", "z", "phi", "delta", "k", "q", "p", "m"]
         )
         writer.writerows(
-            [float(s.t), s.j, s.case.value if s.case else "", *s.plant.x.tolist(),
-             "" if s.measured is None else float(s.measured),
+            [float(t), j, case, *xi.x.tolist(), y,
              float(xc.z), float(xc.phi), float(xc.delta), xc.k, xc.q, xc.p, xc.m]
-            for s in self.samples
-            for xc in (s.controller,)
+            for t, j, case, y, xi, xc in zip(
+                self.t, self.j, self.case, self.measured, self.plant,
+                self.controller,
+            )
         )
 
 
@@ -381,15 +406,15 @@ def run_closed_loop(
     multiples of the period.  ``flow_samples_per_period = F > 0`` also logs
     the plant's dense rows ``i * (rows // (F + 1)) - 1``, ``i = 1..F``: with
     evenly spaced rows (point mass) at ``(j + i / (F + 1)) * tau_star`` in
-    period ``j``.  Samples share the loop's states; ``xi0``/``xc0`` are
-    copied once on entry.
+    period ``j``.  Each row is appended to the arc's columns; rows share the
+    loop's states, and ``xi0``/``xc0`` are copied once on entry.
 
     Raises `ConfigError` on invalid configuration; robust mode
     (``phi_min > 0``) additionally requires the initial direction set to
     clear the determinant safeguard.  Raises `ValueError` when the plant
     emits fewer than ``F + 1`` dense rows a period (`ExactPlant` emits one).
-    Raises `EvaluationError` when the objective returns a non-finite value,
-    as the walker does.
+    Raises `EvaluationError` when a measurement (objective value plus
+    noise) is non-finite, as the walker does.
     """
     violations = validate_config(cfg)
     if violations:
@@ -405,15 +430,10 @@ def run_closed_loop(
     xi = xi0.copy()
     xc = xc0.copy()
     arc = HybridArc()
-    arc.samples.append(ArcSample(t=0.0, j=0, plant=xi, controller=xc))
+    arc.append(0.0, 0, xi, xc)
     j = 0
-    max_jumps = stop.max_jumps
-    if stop.max_evaluations is not None:
-        max_jumps = (
-            stop.max_evaluations
-            if max_jumps is None
-            else min(max_jumps, stop.max_evaluations)
-        )
+    limits = [m for m in (stop.max_jumps, stop.max_evaluations) if m is not None]
+    max_jumps = min(limits) if limits else None
 
     while True:
         if max_jumps is not None and j >= max_jumps:
@@ -437,33 +457,18 @@ def run_closed_loop(
                 )
             for i in range(1, flow_samples_per_period + 1):
                 t_rel, y_state = collect[i * stride - 1]
-                arc.samples.append(
-                    ArcSample(
-                        t=j * cfg.tau_star + t_rel,
-                        j=j,
-                        plant=PlantState(np.array(y_state[: xi.x.shape[0]])),
-                        controller=xc,
-                    )
-                )
+                arc.append(j * cfg.tau_star + t_rel, j,
+                           PlantState(np.array(y_state[: xi.x.shape[0]])), xc)
 
         j += 1
         y = float(objective(xi.x))
-        if not math.isfinite(y):
-            raise EvaluationError(xi.x, y)
         if noise is not None:
             y += float(noise.sample(j, xc.delta, xc.v))
+        if not math.isfinite(y):
+            raise EvaluationError(xi.x, y)
         case = classify_jump(xc, y)
         xc = jump(xc, y, cfg, case=case)
-        arc.samples.append(
-            ArcSample(
-                t=j * cfg.tau_star,
-                j=j,
-                plant=xi,
-                controller=xc,
-                measured=y,
-                case=case,
-            )
-        )
+        arc.append(j * cfg.tau_star, j, xi, xc, y, case)
     return arc
 
 
@@ -491,15 +496,12 @@ def equivalence_check(
     ``tol``.  Returns an `EquivalenceReport`; ``ok`` is False when the routes
     diverge or fewer than ``min_points`` measurements can be compared.
     """
-    hybrid_points = [s.plant.x for s in arc.jump_samples()]
+    hybrid_points = [arc.plant[i].x for i in arc.jump_rows()]
     rsp_points = [r.x for r in rsp_log]
     m = min(len(hybrid_points), len(rsp_points))
     if m < min_points:
         return EquivalenceReport(
-            ok=False,
-            compared=m,
-            max_abs_error=math.inf,
-            first_divergence=None,
+            ok=False, compared=m, max_abs_error=math.inf,
             detail=f"only {m} comparable measurements (need >= {min_points})",
         )
     max_err = 0.0
@@ -507,14 +509,9 @@ def equivalence_check(
         err = float(np.max(np.abs(hybrid_points[i] - rsp_points[i])))
         if err > tol:
             return EquivalenceReport(
-                ok=False,
-                compared=m,
-                max_abs_error=err,
-                first_divergence=i,
-                detail=(
-                    f"measurement {i}: closed-loop {hybrid_points[i].tolist()} vs "
-                    f"discrete {rsp_points[i].tolist()} (|err| = {err:.3e} > {tol})"
-                ),
+                ok=False, compared=m, max_abs_error=err, first_divergence=i,
+                detail=f"measurement {i}: closed-loop {hybrid_points[i].tolist()} "
+                f"vs discrete {rsp_points[i].tolist()} (|err| = {err:.3e} > {tol})",
             )
         max_err = max(max_err, err)
     return EquivalenceReport(ok=True, compared=m, max_abs_error=max_err)

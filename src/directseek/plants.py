@@ -48,13 +48,18 @@ class IntegrationError(RuntimeError):
     """The integrator produced a non-finite state."""
 
 
+_NO_ZETA = np.zeros(0)
+_NO_ZETA.flags.writeable = False
+
+
 @dataclass
 class PlantState:
     """Plant configuration: probe position ``x`` plus internal state ``zeta``
-    (empty for plants with no internal state; ``[heading]`` for Dubins)."""
+    (empty for plants with no internal state, one read-only array shared by
+    all such states; ``[heading]`` for Dubins)."""
 
     x: np.ndarray
-    zeta: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    zeta: np.ndarray = field(default_factory=lambda: _NO_ZETA)
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -69,12 +74,12 @@ class Segment:
     """One piecewise-constant control segment of a steering schedule.
 
     ``controls`` is plant-specific: the velocity vector for a point mass,
-    ``(speed, turn_rate)`` for Dubins, the raw displacement for the exact
-    plant.
+    ``(speed, turn_rate)`` for Dubins, the displacement array itself for the
+    exact plant.
     """
 
     duration: float
-    controls: tuple
+    controls: Sequence[float]
 
 
 def wrap_angle(a: float) -> float:
@@ -299,9 +304,9 @@ class ExactPlant:
     def steer(
         self, xi: PlantState, target: np.ndarray, tau_star: float
     ) -> tuple[list[Segment], PlantState]:
-        target = np.asarray(target, dtype=float)
-        predicted = PlantState(xi.x + target)
-        return [Segment(tau_star, tuple(float(v) for v in target))], predicted
+        """One segment whose controls are the float ``target`` array itself
+        (shared, not copied)."""
+        return [Segment(tau_star, target)], PlantState(xi.x + target)
 
     def integrate(
         self,
@@ -310,14 +315,14 @@ class ExactPlant:
         tau_star: float,
         collect: Optional[list] = None,
     ) -> PlantState:
-        x = xi.x.copy()
+        x = xi.x
         t = 0.0
         for seg in schedule:
-            x = x + np.asarray(seg.controls, dtype=float)
+            x = x + seg.controls
             t += seg.duration
             if collect is not None:
-                collect.append((t, tuple(float(v) for v in x)))
-        _check_finite(x)
+                collect.append((t, x.tolist()))
+        _check_finite(x.tolist())
         return PlantState(x)
 
 

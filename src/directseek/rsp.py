@@ -37,6 +37,7 @@ from .core import (
     close_cycle,
     direction_determinant,
     line_end_step,
+    line_travel,
     passes_determinant_guard,
     rho,
     validate_config,
@@ -147,10 +148,10 @@ class _Meter:
             raise _BudgetExhausted
         self.count += 1
         y = float(self.objective(x))
-        if not math.isfinite(y):
-            raise EvaluationError(x, y)
         if self.noise is not None:
             y += float(self.noise.sample(self.count, delta, direction))
+        if not math.isfinite(y):
+            raise EvaluationError(x, y)
         return y
 
 
@@ -329,7 +330,7 @@ class _Walker:
         if c < n:
             steps[a] = line_end_step(lam, delta_end, st.phi, cfg)
             st.alpha = st.alpha + lam * v
-            st.alpha_bar += abs(lam) * float(np.linalg.norm(v))
+            st.alpha_bar += line_travel(lam, v)
             st.k = c + 1
             return
 

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from directseek import cli, core
+from directseek import cli, core, noise
 from directseek.core import ConfigError
 
 
@@ -245,6 +245,23 @@ class TestMain:
             stop={"max_jumps": 50},
         )
         path = tmp_path / "pocket.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", str(path), "--out",
+                         str(tmp_path / "out")]) == 1
+        assert "EvaluationError" in capsys.readouterr().err
+
+    def test_non_finite_noise_is_a_run_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        class NanAt(noise.NoiseModel):
+            kind = "nan_at"
+
+            def _value(self, k, delta, direction):
+                return math.nan if k == 7 else 0.0
+
+        monkeypatch.setitem(noise.NOISE_BUILDERS, "nan_at", NanAt)
+        data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()
+        data.update(noise={"kind": "nan_at"}, stop={"max_jumps": 50})
+        path = tmp_path / "nan.json"
         path.write_text(json.dumps(data))
         assert cli.main(["run", str(path), "--out",
                          str(tmp_path / "out")]) == 1

@@ -150,6 +150,25 @@ class TestDirectionSet:
         assert ds.step_sizes[0] == 0.5
 
 
+class TestLineTravel:
+    def test_bitwise_equal_to_numpy_norm(self):
+        # numpy's norm of a 1-D float vector is sqrt(x.dot(x)); the travel
+        # meter must read the same bits on every route.
+        rng = np.random.default_rng(11)
+        for i in range(1000):
+            n = 1 + i % 6
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9)
+            lam = float(rng.standard_normal())
+            got = core.line_travel(lam, v)
+            assert type(got) is float
+            assert got == abs(lam) * float(np.linalg.norm(v))
+
+    def test_routes_share_the_rule(self):
+        from directseek import hybrid, rsp
+
+        assert hybrid.line_travel is rsp.line_travel is core.line_travel
+
+
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         assert core.validate_config(core.AlgorithmConfig()) == []

@@ -28,6 +28,7 @@ from directseek.noise import (
     AdversarialDragNoise,
     AdversarialJamNoise,
     BoundedRandomNoise,
+    NoiseModel,
     PhasedNoise,
 )
 from directseek.plants import ExactPlant, PlantState
@@ -666,6 +667,35 @@ class TestNonFiniteMeasurement:
         assert walker.value.point.tolist() == [-0.75]
         assert_allclose(loop.value.point, walker.value.point, rtol=0,
                         atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_fails_both_routes_at_the_same_point(self, bad):
+        class BadAt(NoiseModel):
+            kind = "bad_at"
+
+            def _value(self, k, delta, direction):
+                return bad if k == 40 else 0.0
+
+        obj = core.make_aniso_quadratic()
+        x0 = np.array([1.5, 0.0])
+        cfg = AlgorithmConfig()
+        walker_noise, loop_noise = BadAt(), BadAt()
+        with pytest.raises(core.EvaluationError) as walker:
+            rsp.run(obj, x0, cfg, StopRule(max_evaluations=100),
+                    noise=walker_noise)
+        with pytest.raises(core.EvaluationError) as loop:
+            run_closed_loop(ExactPlant(), obj, PlantState(x0.copy()),
+                            make_controller(AXES, [1.0, 1.0], 1.0), cfg,
+                            StopRule(max_jumps=100), noise=loop_noise)
+        assert type(walker.value) is type(loop.value)
+        assert len(walker_noise.history) == len(loop_noise.history) == 40
+        assert_allclose(loop.value.point, walker.value.point, rtol=0,
+                        atol=1e-9)
+        if math.isnan(bad):
+            assert math.isnan(walker.value.value)
+            assert math.isnan(loop.value.value)
+        else:
+            assert walker.value.value == loop.value.value == bad
 
     def test_one_error_class(self):
         assert rsp.EvaluationError is core.EvaluationError

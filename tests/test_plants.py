@@ -313,6 +313,21 @@ class TestCollectInvariance:
         assert jumps[3] == jumps[0]
 
 
+class TestFig2ClosedForm:
+    def test_fig2_never_emits_a_generic_dubins_arc(self, monkeypatch):
+        # fig2's bytes depend only on the closed-form segments: the full
+        # 10k-jump run completes with the RK4 integrator disabled.
+        def no_rk4(*args, **kwargs):
+            raise AssertionError("fig2 integrated a generic Dubins arc")
+
+        monkeypatch.setattr(plants, "_rk4_segment", no_rk4)
+        config = cli.scenario_config("fig2_rosenbrock_dubins")
+        assert config.stop["max_jumps"] == 10_000
+        arc, summary = cli.run_experiment(config, None)
+        assert summary.stopped == "max_jumps"
+        assert summary.jumps == 10_000
+
+
 class TestExactPlant:
     def test_applies_displacement_algebraically(self):
         ep = ExactPlant(dimension=2)
