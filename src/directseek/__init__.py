@@ -34,12 +34,9 @@ from .plants import (
 from .rsp import (
     EvalRecord,
     ExactCycleReport,
-    LineMinResult,
     RspState,
     exact_cycles,
     exact_line_search,
-    line_minimize,
-    rsp_cycle,
     run,
 )
 from .hybrid import (

@@ -322,8 +322,9 @@ class HybridArc:
     intra-period rows and one row per jump (``case``/``measured`` are None
     except on jump rows).  ``plant``/``controller`` hold the loop's
     never-mutated states: a jump row and the next period's intra-period rows
-    share one controller state.  `samples`, `jump_samples` and
-    `final_sample` are views that build `ArcSample` rows on each call.
+    share one controller state.  `samples` and `jump_samples` are views that
+    build `ArcSample` rows on each call; the last row is ``plant[-1]``,
+    ``controller[-1]``.
     """
 
     t: list[float] = field(default_factory=list)
@@ -354,10 +355,6 @@ class HybridArc:
 
     def jump_samples(self) -> list[ArcSample]:
         return [s for s in self.samples if s.case is not None]
-
-    def final_sample(self) -> ArcSample:
-        return ArcSample(self.t[-1], self.j[-1], self.plant[-1],
-                         self.controller[-1], self.measured[-1], self.case[-1])
 
     def write_csv(self, fp) -> None:
         """Write the arc as CSV with columns

@@ -2,17 +2,17 @@
 
 Each plant turns a requested displacement into a control schedule that is
 feasible within one sampling period (`steer`) and flows its continuous
-dynamics along that schedule (`integrate`).  Every segment `steer` emits has
-a closed-form flow, which `integrate` evaluates exactly; fixed-step RK4 is
-kept as the reference and integrates the generic Dubins arcs (speed and turn
-rate both non-zero) that have none.  A plant's ``substeps`` per period set
-the spacing of the dense rows `integrate` can collect and the RK4 resolution.
-Three models are provided:
+dynamics along that schedule (`integrate`).  Every segment has a closed-form
+flow, which `integrate` evaluates exactly.  A plant's ``substeps`` per period
+only set the spacing of the dense rows `integrate` can collect.  Three models
+are provided:
 
 - ``PointMassPlant``: velocity-actuated integrator, x' = u.
 - ``DubinsPlant``: planar unicycle (x1' = s cos zeta, x2' = s sin zeta,
   zeta' = u) with speed s in [0, V] and turn rate |u| <= u_max; steering
   rotates in place through the shortest wrapped angle, then runs straight.
+  Under constant controls every segment is a circular arc or a straight
+  line (Dubins 1957), flowed by one chord formula.
 - ``ExactPlant``: test mode that lands exactly on the requested target with
   no integration error, for controller-level and equivalence tests.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -88,37 +89,6 @@ def wrap_angle(a: float) -> float:
     return math.pi if w <= -math.pi else w
 
 
-def _rk4_segment(
-    deriv: Callable[[tuple[float, ...]], tuple[float, ...]],
-    y0: tuple[float, ...],
-    duration: float,
-    nsteps: int,
-    collect: Optional[list] = None,
-    t0: float = 0.0,
-) -> tuple[float, ...]:
-    """Classic fixed-step RK4 over one segment; appends (t, y) to ``collect``
-    after every substep when given.  Plain-float arithmetic for speed.
-
-    This is the reference the closed-form flows are checked against, and the
-    integrator for generic Dubins arcs, whose flow has no closed form here."""
-    h = duration / nsteps
-    y = y0
-    dim = len(y0)
-    idx = range(dim)
-    for step in range(nsteps):
-        k1 = deriv(y)
-        k2 = deriv(tuple(y[i] + 0.5 * h * k1[i] for i in idx))
-        k3 = deriv(tuple(y[i] + 0.5 * h * k2[i] for i in idx))
-        k4 = deriv(tuple(y[i] + h * k3[i] for i in idx))
-        y = tuple(
-            y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in idx
-        )
-        if collect is not None:
-            collect.append((t0 + (step + 1) * h, y))
-    return y
-
-
 def _exact_segment(
     flow: Callable[[tuple[float, ...], float], tuple[float, ...]],
     y0: tuple[float, ...],
@@ -128,8 +98,8 @@ def _exact_segment(
     t0: float = 0.0,
 ) -> tuple[float, ...]:
     """Closed-form flow over one segment, ``flow(y0, s)`` being the state
-    after time ``s``.  When ``collect`` is given, appends (t, y) at the same
-    substep times as `_rk4_segment`; the last row is the returned endpoint
+    after time ``s``.  When ``collect`` is given, appends (t, y) after each
+    of ``nsteps`` equal substeps; the last row is the returned endpoint
     itself, so collecting never changes the result."""
     y = flow(y0, duration)
     if collect is not None:
@@ -138,6 +108,22 @@ def _exact_segment(
             collect.append((t0 + step * h, flow(y0, step * h)))
         collect.append((t0 + nsteps * h, y))
     return y
+
+
+def _dubins_flow(
+    speed: float, turn: float, y0: tuple[float, ...], s: float
+) -> tuple[float, ...]:
+    """Unicycle state ``(x1, x2, zeta)`` after time ``s`` at constant
+    ``(speed, turn)``, in chord form: the position moves by the chord
+    ``speed * s * sin(h) / h`` at the mid-arc heading ``zeta + h``, with
+    ``h = turn * s / 2``.  Unlike ``(speed / turn) * (sin(zeta + turn * s) -
+    sin zeta)`` it does not cancel as ``turn`` goes to 0, and ``h == 0`` is
+    the straight line."""
+    x1, x2, zeta = y0
+    h = 0.5 * turn * s
+    chord = speed * s if h == 0.0 else speed * s * math.sin(h) / h
+    mid = zeta + h
+    return (x1 + chord * math.cos(mid), x2 + chord * math.sin(mid), zeta + turn * s)
 
 
 def _check_finite(values: Sequence[float]) -> None:
@@ -262,23 +248,11 @@ class DubinsPlant:
         y = (float(xi.x[0]), float(xi.x[1]), float(xi.zeta[0]))
         t = 0.0
         for seg in schedule:
-            speed, turn = seg.controls
             nsteps = max(1, round(self.substeps * seg.duration / tau_star))
-            if speed == 0.0 or turn == 0.0:
-                # Turn in place or run straight: the heading or the position
-                # is constant, so the flow has a closed form.
-                cos_h, sin_h = math.cos(y[2]), math.sin(y[2])
-
-                def line(y0, s, _v=speed, _u=turn, _c=cos_h, _s=sin_h):
-                    return (y0[0] + _v * s * _c, y0[1] + _v * s * _s, y0[2] + _u * s)
-
-                y = _exact_segment(line, y, seg.duration, nsteps, collect, t)
-            else:
-
-                def deriv(s, _v=speed, _u=turn):
-                    return (_v * math.cos(s[2]), _v * math.sin(s[2]), _u)
-
-                y = _rk4_segment(deriv, y, seg.duration, nsteps, collect, t)
+            y = _exact_segment(
+                partial(_dubins_flow, *seg.controls), y, seg.duration, nsteps,
+                collect, t,
+            )
             t += seg.duration
         _check_finite(y)
         return PlantState(np.array([y[0], y[1]]), np.array([wrap_angle(y[2])]))

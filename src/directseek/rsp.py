@@ -4,9 +4,9 @@ This is the sequential (non-closed-loop) realization of the search: a walker
 that probes the objective along one direction at a time with a
 sufficient-decrease acceptance test, expands steps on success, contracts them
 on failure, and rebuilds its direction set once per cycle from the
-parallel-subspace displacement.  Every objective measurement is logged so the
-closed-loop realization in `directseek.hybrid` can be checked against this
-route probe-for-probe.
+parallel-subspace displacement.  `run` is its one entry point.  Every
+objective measurement is logged so the closed-loop realization in
+`directseek.hybrid` can be checked against this route probe-for-probe.
 
 A cycle over ``n`` directions runs ``n + 1`` line minimizations: the newest
 direction is explored first AND last, and the total displacement accumulated
@@ -35,7 +35,6 @@ from .core import (
     active_slot,
     check_robust_start,
     close_cycle,
-    direction_determinant,
     line_end_step,
     line_travel,
     passes_determinant_guard,
@@ -47,10 +46,7 @@ __all__ = [
     "StopRule",
     "EvalRecord",
     "EvaluationError",
-    "LineMinResult",
     "RspState",
-    "line_minimize",
-    "rsp_cycle",
     "run",
     "exact_line_search",
     "ExactCycleReport",
@@ -85,22 +81,6 @@ class EvalRecord:
     accepted: bool
     anchor: np.ndarray
     delta: float
-
-
-@dataclass
-class LineMinResult:
-    """Outcome of one discrete line minimization.
-
-    ``alpha`` is the signed travel along the direction, ``steps_taken`` the
-    number of accepted probes, ``final_value`` the re-measured value at the
-    best point, ``final_step`` the step size after expansions (before any
-    end-of-line contraction).
-    """
-
-    alpha: float
-    steps_taken: int
-    final_value: float
-    final_step: float
 
 
 @dataclass
@@ -163,10 +143,10 @@ def _line_minimize(
     z: float,
     phi: float,
     cfg: AlgorithmConfig,
-    log: Optional[list[EvalRecord]] = None,
-    cycle: int = 0,
-    slot: int = 0,
-) -> tuple[float, float, int, float, np.ndarray]:
+    log: list[EvalRecord],
+    cycle: int,
+    slot: int,
+) -> tuple[float, float, float, np.ndarray]:
     """Walk one direction with expanding steps and sufficient decrease.
 
     Probes the positive side first; only if the very first probe fails does
@@ -176,9 +156,9 @@ def _line_minimize(
     record holds the array that was measured and shares ``anchor``; no array
     is modified after it is built.
 
-    Returns ``(lam, delta_final, accepted_count, close_value, best_point)``
-    where ``close_value`` is the re-measurement at the best point that ends
-    the line minimization.
+    Returns ``(lam, delta_final, close_value, best_point)`` where
+    ``close_value`` is the re-measurement at the best point that ends the
+    line minimization.
     """
 
     def emit(
@@ -189,13 +169,12 @@ def _line_minimize(
         step: int,
         delta_used: float,
     ) -> None:
-        if log is not None:
-            log.append(
-                EvalRecord(
-                    meter.count, cycle, slot, step, x, y, kind, accepted,
-                    anchor, delta_used,
-                )
+        log.append(
+            EvalRecord(
+                meter.count, cycle, slot, step, x, y, kind, accepted, anchor,
+                delta_used,
             )
+        )
 
     lam = 0.0
     accepted = 0
@@ -237,39 +216,11 @@ def _line_minimize(
     best = anchor + lam * v
     y = meter.measure(best, delta, v)
     emit(best, y, "close", False, accepted, delta)
-    return lam, delta, accepted, y, best
-
-
-def line_minimize(
-    objective,
-    x0,
-    direction,
-    delta: float,
-    phi: float,
-    cfg: AlgorithmConfig,
-    z: Optional[float] = None,
-    noise=None,
-) -> LineMinResult:
-    """One discrete line minimization from ``x0`` along ``direction``.
-
-    When ``z`` is not given the anchor is measured first to initialize the
-    incumbent value.  See `_line_minimize` for the probing pattern.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    meter = _Meter(objective, noise)
-    if z is None:
-        z = meter.measure(x0, delta, direction)
-    lam, delta_end, steps, z_close, _best = _line_minimize(
-        meter, x0, direction, delta, z, phi, cfg
-    )
-    return LineMinResult(
-        alpha=lam, steps_taken=steps, final_value=z_close, final_step=delta_end
-    )
+    return lam, delta, y, best
 
 
 class _Walker:
-    """Mutable cycle-running core shared by `rsp_cycle` and `run`."""
+    """Mutable cycle-running core of `run`."""
 
     def __init__(
         self,
@@ -284,36 +235,25 @@ class _Walker:
         # Log records share the iterate arrays, so none may alias the caller's.
         state.x = state.x.copy()
         self.meter = _Meter(objective, noise, max_evaluations)
-        self.meter.count = state.evaluations
 
     # -- one line minimization at the current counter ----------------------
 
-    def run_slot(self, v_override=None, delta_override=None) -> None:
-        st, cfg = self.st, self.cfg
-        n = st.dimension
+    def run_slot(self) -> None:
+        st = self.st
         c = st.k
-        a = active_slot(c, n)
-        v = (
-            np.asarray(v_override, dtype=float)
-            if v_override is not None
-            else st.directions.directions[a]
-        )
-        delta = (
-            float(delta_override)
-            if delta_override is not None
-            else st.directions.step_sizes[a]
-        )
-        lam, delta_end, _steps, z_close, best = _line_minimize(
+        a = active_slot(c, st.dimension)
+        v = st.directions.directions[a]
+        lam, delta_end, z_close, best = _line_minimize(
             self.meter,
             st.x,
             v,
-            delta,
+            st.directions.step_sizes[a],
             st.z,
             st.phi,
-            cfg,
-            log=st.iterate_log,
-            cycle=st.cycles,
-            slot=c,
+            self.cfg,
+            st.iterate_log,
+            st.cycles,
+            c,
         )
         st.x = best
         st.z = z_close
@@ -346,50 +286,19 @@ class _Walker:
         st.k = 0
         st.cycles += 1
 
-    def run_cycle(self, v0=None, delta0=None) -> bool:
-        """Line minimizations from the current counter through the cycle
-        close; ``v0``/``delta0`` override the counter-0 line only.  Returns
-        False, with ``stopped`` set, when the measurement budget ran out."""
+    def run_cycle(self) -> bool:
+        """The ``n + 1`` line minimizations of one cycle, through its close.
+        Returns False, with ``stopped`` set, when the measurement budget ran
+        out."""
         st = self.st
         try:
-            for c in range(st.k, st.dimension + 1):
-                if c == 0:
-                    self.run_slot(v0, delta0)
-                else:
-                    self.run_slot()
+            for _ in range(st.dimension + 1):
+                self.run_slot()
         except _BudgetExhausted:
             st.stopped = "max_evaluations"
             st.evaluations = self.meter.count
             return False
         return True
-
-
-def rsp_cycle(
-    objective,
-    state: RspState,
-    cfg: AlgorithmConfig,
-    noise=None,
-    v0=None,
-    delta0=None,
-    max_evaluations: Optional[int] = None,
-) -> RspState:
-    """Run one full cycle (``n + 1`` line minimizations) from ``state``.
-
-    ``v0`` / ``delta0`` override the direction and step of the first line
-    minimization only (the published runs start their first cycle on the
-    OLDEST direction while the bookkeeping slot stays the newest).  The state
-    is mutated in place and also returned.
-    """
-    det = abs(direction_determinant(state.directions))
-    if det < cfg.delta_det:
-        raise ConfigError(
-            [
-                "direction set on entry is degenerate: |det(directions)| = "
-                f"{det!r} < delta_det = {cfg.delta_det!r}"
-            ]
-        )
-    _Walker(objective, state, cfg, noise, max_evaluations).run_cycle(v0, delta0)
-    return state
 
 
 def run(
@@ -401,15 +310,15 @@ def run(
     phi0: float = 1.0,
     z0: float = 0.0,
     noise=None,
-    v0=None,
-    delta0=None,
 ) -> RspState:
     """Full discrete search from ``x0`` until the stop rule fires.
 
     ``directions`` defaults to the coordinate axes with unit steps;
     ``z0`` initializes the incumbent measurement (the walker never measures
-    the start point before its first probe).  ``v0`` / ``delta0`` apply to the
-    first line minimization of the first cycle only.
+    the start point before its first probe).  Raises `ConfigError` on an
+    invalid configuration, or in robust mode (``phi_min > 0``) on a start
+    direction set that fails the determinant guard (`core.check_robust_start`,
+    the rule `hybrid.run_closed_loop` applies too).
     """
     violations = validate_config(cfg)
     if violations:
@@ -444,9 +353,8 @@ def run(
         ):
             state.stopped = "max_evaluations"
             break
-        if not walker.run_cycle(v0, delta0):
+        if not walker.run_cycle():
             break
-        v0 = delta0 = None
     return state
 
 

@@ -101,9 +101,9 @@ class TestRunExperiment:
         arc, summary = cli.run_experiment(config, None)
         assert summary.jumps == 200
         assert summary.final_x == [float(v) for v in
-                                   arc.final_sample().plant.x]
+                                   arc.plant[-1].x]
         assert summary.distance_to_minimizer == pytest.approx(
-            float(np.linalg.norm(arc.final_sample().plant.x))
+            float(np.linalg.norm(arc.plant[-1].x))
         )
         assert sum(summary.case_counts.values()) == 200
 
@@ -216,6 +216,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
         assert key in err
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("flow_samples_per_period", "3", "flow_samples_per_period"),
+        ("flow_samples_per_period", 2.5, "flow_samples_per_period"),
+        ("flow_samples_per_period", -2, "flow_samples_per_period"),
+        ("stop", {"max_jumps": -3}, "stop.max_jumps"),
+        ("stop", {"max_jumps": 40, "phi_threshold": "1e-6"},
+         "stop.phi_threshold"),
+    ], ids=["samples-str", "samples-float", "samples-negative",
+            "max-jumps-negative", "threshold-str"])
+    def test_bad_run_shape_is_a_usage_error(self, tmp_path, capsys, key,
+                                            value, field):
+        data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()
+        data[key] = value
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert field in err
+        assert not out_dir.exists()
 
     def test_config_file_runs(self, tmp_path, capsys):
         path = tmp_path / "quick.json"

@@ -422,7 +422,7 @@ class TestClosedLoop:
     def test_quadratic_converges(self):
         arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 2000,
                           deltas=(0.05, 0.05), phi=0.05)
-        final = arc.final_sample().plant.x
+        final = arc.plant[-1].x
         assert np.linalg.norm(final) <= 0.05
 
     def test_intra_period_samples(self):
@@ -496,7 +496,7 @@ class TestClosedLoop:
             StopRule(max_jumps=10_000, phi_threshold=0.01),
         )
         assert arc2.stopped == "phi_threshold"
-        assert arc2.final_sample().controller.phi < 0.01
+        assert arc2.controller[-1].phi < 0.01
 
 
 class TestArcCsv:
@@ -614,7 +614,7 @@ class TestEquivalence:
         expected = 1.0
         for _ in range(4):
             expected *= cfg.mu
-        assert arc.final_sample().controller.phi == expected
+        assert arc.controller[-1].phi == expected
         assert state.phi == expected
 
     @pytest.mark.parametrize("kind", list(NOISE_CASES))
@@ -645,6 +645,41 @@ class TestEquivalence:
 
         assert jam_activation(loop_noise) == jam_activation(walker_noise)
         assert jam_activation(walker_noise) == activation
+
+
+class TestDegenerateStart:
+    """`core.check_robust_start` is the one degenerate-start rule of both
+    routes: reject in robust mode, run otherwise."""
+
+    X0 = np.array([1.5, 0.5])
+    DIRS = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]  # |det| = 0
+
+    def walk(self, cfg):
+        return rsp.run(core.make_aniso_quadratic(), self.X0, cfg,
+                       StopRule(max_evaluations=200),
+                       directions=core.DirectionSet(self.DIRS, [1.0, 1.0]))
+
+    def loop(self, cfg):
+        return run_closed_loop(ExactPlant(), core.make_aniso_quadratic(),
+                               PlantState(self.X0.copy()),
+                               make_controller(self.DIRS, [1.0, 1.0], 1.0),
+                               cfg, StopRule(max_jumps=200))
+
+    def test_robust_mode_rejects_on_both_routes(self):
+        cfg = AlgorithmConfig(phi_min=0.05)
+        with pytest.raises(core.ConfigError) as walker:
+            self.walk(cfg)
+        with pytest.raises(core.ConfigError) as loop:
+            self.loop(cfg)
+        assert walker.value.violations == loop.value.violations
+
+    def test_nominal_mode_runs_both_routes_alike(self):
+        state = self.walk(AlgorithmConfig())
+        arc = self.loop(AlgorithmConfig())
+        assert state.evaluations == 200
+        report = equivalence_check(arc, state.iterate_log, tol=1e-9,
+                                   min_points=200)
+        assert report.ok, report.detail
 
 
 class TestNonFiniteMeasurement:

@@ -1,6 +1,7 @@
 """Tests for the continuous-time plants: point mass, unicycle (turn-rate
 limited), the idealized algebraic plant, and the steering/integration
-contracts they share."""
+contracts they share.  Fixed-step RK4 lives here as the oracle the plants'
+closed-form flows are checked against."""
 import dataclasses
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from directseek import cli, plants
+from directseek import cli
 from directseek.plants import (
     DubinsPlant,
     ExactPlant,
@@ -22,6 +23,29 @@ from directseek.plants import (
 )
 
 TAU = 0.1
+
+
+def rk4_segment(deriv, y0, duration, nsteps):
+    """Classic fixed-step RK4 over one segment of constant controls, in
+    plain-float arithmetic."""
+    h = duration / nsteps
+    y = y0
+    idx = range(len(y0))
+    for _ in range(nsteps):
+        k1 = deriv(y)
+        k2 = deriv(tuple(y[i] + 0.5 * h * k1[i] for i in idx))
+        k3 = deriv(tuple(y[i] + 0.5 * h * k2[i] for i in idx))
+        k4 = deriv(tuple(y[i] + h * k3[i] for i in idx))
+        y = tuple(
+            y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+            for i in idx
+        )
+    return y
+
+
+def unicycle(speed, turn):
+    """Right-hand side of the unicycle at constant ``(speed, turn)``."""
+    return lambda y: (speed * math.cos(y[2]), speed * math.sin(y[2]), turn)
 
 
 class TestWrapAngle:
@@ -185,20 +209,20 @@ class TestDubinsIntegration:
         xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.0]))
         out = db.integrate(xi, [Segment(1.0, (1.0, 1.0))], 1.0)
         exact = np.array([math.sin(1.0), 1.0 - math.cos(1.0)])
-        assert np.linalg.norm(out.x - exact) <= 1e-9
+        assert np.linalg.norm(out.x - exact) <= 1e-15
         assert_allclose(out.zeta[0], 1.0, atol=1e-12)
 
-    def test_integrator_order_on_arc(self):
-        # halving the step must shrink the endpoint error at fourth order;
-        # assert the conservative 8x reduction.
-        exact = np.array([math.sin(1.0), 1.0 - math.cos(1.0)])
-        errors = {}
-        for n in (100, 200):
-            db = DubinsPlant(substeps=n)
-            xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.0]))
-            out = db.integrate(xi, [Segment(1.0, (1.0, 1.0))], 1.0)
-            errors[n] = np.linalg.norm(out.x - exact)
-        assert errors[100] / errors[200] >= 8.0
+    @pytest.mark.parametrize("turn", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 80.0])
+    def test_chord_flow_against_rk4_oracle(self, turn):
+        # the chord form keeps full accuracy as the turn rate goes to 0,
+        # where (s/u)(sin(zeta + u t) - sin zeta) cancels: at u = 1e-6 that
+        # form is off by 3.5e-11 here, at u = 1e-12 by 8.2e-5
+        db = DubinsPlant()
+        xi = PlantState(x=np.array([0.0, 0.0]), zeta=np.array([0.7]))
+        out = db.integrate(xi, [Segment(TAU, (1.0, turn))], TAU)
+        ref = rk4_segment(unicycle(1.0, turn), (0.0, 0.0, 0.7), TAU, 1000)
+        assert_allclose(out.x, ref[:2], rtol=0.0, atol=1e-13)
+        assert abs(wrap_angle(out.zeta[0] - ref[2])) <= 1e-13
 
     def test_dense_collection(self):
         db = DubinsPlant(substeps=10)
@@ -212,8 +236,20 @@ class TestDubinsIntegration:
         assert_allclose(seen[-1][1][:2], [1.0, 0.0], atol=1e-12)
 
 
+class TestRk4Oracle:
+    def test_fourth_order_on_arc(self):
+        # halving the step must shrink the endpoint error at fourth order;
+        # assert the conservative 8x reduction.
+        exact = np.array([math.sin(1.0), 1.0 - math.cos(1.0)])
+        errors = {}
+        for n in (100, 200):
+            y = rk4_segment(unicycle(1.0, 1.0), (0.0, 0.0, 0.0), 1.0, n)
+            errors[n] = np.linalg.norm(np.array(y[:2]) - exact)
+        assert errors[100] / errors[200] >= 8.0
+
+
 def rk4_reference(plant, xi, schedule, tau_star):
-    """Raw end state of ``schedule`` under `_rk4_segment` at 100 substeps per
+    """Raw end state of ``schedule`` under `rk4_segment` at 100 substeps per
     period, whatever flow the plant itself uses."""
     if isinstance(plant, DubinsPlant):
         y = (float(xi.x[0]), float(xi.x[1]), float(xi.zeta[0]))
@@ -221,17 +257,14 @@ def rk4_reference(plant, xi, schedule, tau_star):
         y = tuple(float(v) for v in xi.x)
     for seg in schedule:
         if isinstance(plant, DubinsPlant):
-            speed, turn = seg.controls
-
-            def deriv(s, _v=speed, _u=turn):
-                return (_v * math.cos(s[2]), _v * math.sin(s[2]), _u)
+            deriv = unicycle(*seg.controls)
         else:
 
             def deriv(s, _u=seg.controls):
                 return _u
 
         nsteps = max(1, round(100 * seg.duration / tau_star))
-        y = plants._rk4_segment(deriv, y, seg.duration, nsteps)
+        y = rk4_segment(deriv, y, seg.duration, nsteps)
     return y
 
 
@@ -311,21 +344,6 @@ class TestCollectInvariance:
             ]
         assert len(jumps[0]) == 300
         assert jumps[3] == jumps[0]
-
-
-class TestFig2ClosedForm:
-    def test_fig2_never_emits_a_generic_dubins_arc(self, monkeypatch):
-        # fig2's bytes depend only on the closed-form segments: the full
-        # 10k-jump run completes with the RK4 integrator disabled.
-        def no_rk4(*args, **kwargs):
-            raise AssertionError("fig2 integrated a generic Dubins arc")
-
-        monkeypatch.setattr(plants, "_rk4_segment", no_rk4)
-        config = cli.scenario_config("fig2_rosenbrock_dubins")
-        assert config.stop["max_jumps"] == 10_000
-        arc, summary = cli.run_experiment(config, None)
-        assert summary.stopped == "max_jumps"
-        assert summary.jumps == 10_000
 
 
 class TestExactPlant:

@@ -50,73 +50,97 @@ class TestActiveSlot:
             rsp.active_slot(-1, 2)
 
 
+def first_line(objective, x0, direction, delta, phi, cfg, z0=None):
+    """Walk ``direction`` from ``x0`` with step ``delta``: cycle 0, slot 0
+    of `rsp.run`, which walks the newest direction first.  ``z0`` defaults
+    to the measured start value.  Returns ``(alpha, accepted, final_value,
+    final_step)``: the signed travel, the number of accepted probes, and the
+    measurement and step of the closing record."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[0]
+    dirs = [np.eye(n)[i] for i in range(n - 1)] + [direction]
+    state = rsp.run(
+        objective, x0, cfg, StopRule(max_cycles=1),
+        directions=DirectionSet(dirs, [delta] * n), phi0=phi,
+        z0=float(objective(x0)) if z0 is None else z0,
+    )
+    line = [r for r in state.iterate_log if (r.cycle, r.slot) == (0, 0)]
+    close = line[-1]
+    assert close.kind == "close"
+    alpha = 0.0
+    for r in line:
+        if r.accepted:
+            alpha += r.delta if r.kind == "probe_pos" else -r.delta
+    return alpha, close.step, close.measured, close.delta
+
+
 class TestLineMinimize:
     def test_parabola_reaches_minimizer(self):
         # accepts 0.5 (0.25 <= 1 - rho(0.5) = 0.75), accepts 0.0
         # (0 <= 0.25 - 0.25 is a tie-accept), then both signs fail
-        result = rsp.line_minimize(
-            make_parabola(), np.array([1.0]), np.array([-1.0]),
-            0.5, 1.0, AlgorithmConfig(gamma=1.0),
+        alpha, steps, value, step = first_line(
+            make_parabola(), [1.0], np.array([-1.0]), 0.5, 1.0,
+            AlgorithmConfig(gamma=1.0),
         )
-        assert result.alpha == 1.0
-        assert result.steps_taken == 2
-        assert result.final_value == 0.0
-        assert result.final_step == 0.5
+        assert alpha == 1.0
+        assert steps == 2
+        assert value == 0.0
+        assert step == 0.5
 
     def test_blocked_at_minimizer(self):
         # from the bottom both signs fail: f(+-0.5) = 0.25 > 0 - 0.25
-        result = rsp.line_minimize(
-            make_parabola(), np.array([0.0]), np.array([1.0]),
-            0.5, 1.0, AlgorithmConfig(gamma=1.0),
+        alpha, steps, value, _ = first_line(
+            make_parabola(), [0.0], np.array([1.0]), 0.5, 1.0,
+            AlgorithmConfig(gamma=1.0),
         )
-        assert result.alpha == 0.0
-        assert result.steps_taken == 0
-        assert result.final_value == 0.0
+        assert alpha == 0.0
+        assert steps == 0
+        assert value == 0.0
 
     def test_axis_walk_on_quadratic(self):
         # f decreases 2.25 -> 1.0 -> 0.25 -> 0.0 with rho(0.5) = 0.25 margins
-        result = rsp.line_minimize(
-            core.make_aniso_quadratic(), np.array([1.5, 0.0]),
-            np.array([-1.0, 0.0]), 0.5, 1.0, AlgorithmConfig(gamma=1.0),
+        alpha, steps, value, step = first_line(
+            core.make_aniso_quadratic(), [1.5, 0.0], np.array([-1.0, 0.0]),
+            0.5, 1.0, AlgorithmConfig(gamma=1.0),
         )
-        assert result.alpha == 1.5
-        assert result.steps_taken == 3
-        assert result.final_value == 0.0
-        assert result.final_step == 0.5
+        assert alpha == 1.5
+        assert steps == 3
+        assert value == 0.0
+        assert step == 0.5
 
     def test_expansion_and_cap(self):
         # gamma = 1.2, lambda_t * phi = 2.5: steps 1, 1.2, 1.44, 1.728,
         # 2.0736, 2.48832 then the cap pins the step at 2.5
-        result = rsp.line_minimize(
-            make_parabola(), np.array([10.0]), np.array([-1.0]),
-            1.0, 0.5, AlgorithmConfig(gamma=1.2, lambda_t=5.0),
+        alpha, steps, value, step = first_line(
+            make_parabola(), [10.0], np.array([-1.0]), 1.0, 0.5,
+            AlgorithmConfig(gamma=1.2, lambda_t=5.0),
         )
-        assert result.steps_taken == 6
-        assert_allclose(result.alpha, 9.92992, rtol=1e-12)
-        assert_allclose(result.final_value, 0.004911206400000113, rtol=1e-12)
-        assert result.final_step == 2.5
+        assert steps == 6
+        assert_allclose(alpha, 9.92992, rtol=1e-12)
+        assert_allclose(value, 0.004911206400000113, rtol=1e-12)
+        assert step == 2.5
 
     def test_supplied_z_is_honored(self):
         # with a stale, too-good z nothing is accepted
-        result = rsp.line_minimize(
-            make_parabola(), np.array([1.0]), np.array([-1.0]),
-            0.5, 1.0, AlgorithmConfig(gamma=1.0), z=-1.0,
+        alpha, steps, _, _ = first_line(
+            make_parabola(), [1.0], np.array([-1.0]), 0.5, 1.0,
+            AlgorithmConfig(gamma=1.0), z0=-1.0,
         )
-        assert result.alpha == 0.0
-        assert result.steps_taken == 0
+        assert alpha == 0.0
+        assert steps == 0
 
     def test_non_finite_measurement_raises(self):
         bad = core.ObjectiveFunction("bad", 1, lambda x: float("nan"))
         with pytest.raises(rsp.EvaluationError):
-            rsp.line_minimize(bad, np.array([1.0]), np.array([-1.0]),
-                              0.5, 1.0, AlgorithmConfig())
+            first_line(bad, [1.0], np.array([-1.0]), 0.5, 1.0,
+                       AlgorithmConfig())
         pocket = core.ObjectiveFunction(
             "pocket", 1,
             lambda x: float("inf") if x[0] < 0 else float(x[0] ** 2),
         )
         with pytest.raises(rsp.EvaluationError) as excinfo:
-            rsp.line_minimize(pocket, np.array([0.25]), np.array([-1.0]),
-                              0.5, 1.0, AlgorithmConfig())
+            first_line(pocket, [0.25], np.array([-1.0]), 0.5, 1.0,
+                       AlgorithmConfig())
         assert excinfo.value.point[0] < 0
 
 
@@ -124,9 +148,9 @@ class TestRspCycle:
     def test_quadratic_first_cycle_decreases(self):
         obj = core.make_aniso_quadratic()
         x0 = np.array([1.5, 0.0])
-        state = rsp.RspState(x=x0, directions=rotated_frame(), phi=0.01,
-                             z=float(obj(x0)))
-        state = rsp.rsp_cycle(obj, state, AlgorithmConfig())
+        state = rsp.run(obj, x0, AlgorithmConfig(), StopRule(max_cycles=1),
+                        directions=rotated_frame(), phi0=0.01,
+                        z0=float(obj(x0)))
         assert state.cycles == 1
         assert state.z < 2.25
 
@@ -134,19 +158,12 @@ class TestRspCycle:
         obj = core.get_objective("constant", dimension=2)
         x0 = np.array([0.7, -0.3])
         cfg = AlgorithmConfig()
-        state = rsp.RspState(x=x0.copy(), directions=rotated_frame(step=1.0),
-                             phi=1.0, z=0.0)
-        state = rsp.rsp_cycle(obj, state, cfg)
+        state = rsp.run(obj, x0, cfg, StopRule(max_cycles=1),
+                        directions=rotated_frame(step=1.0), phi0=1.0)
+        assert state.cycles == 1
         assert_array_equal(state.x, x0)
         assert state.phi == cfg.mu * 1.0
         assert state.blocked_cycles == 1
-
-    def test_degenerate_directions_rejected(self):
-        ds = DirectionSet([np.array([1.0, 0.0]), np.array([2.0, 0.0])],
-                          [0.5, 0.5])
-        state = rsp.RspState(x=np.zeros(2), directions=ds, phi=1.0, z=0.0)
-        with pytest.raises(core.ConfigError):
-            rsp.rsp_cycle(core.make_sphere(2), state, AlgorithmConfig())
 
 
 class TestRun:
@@ -251,19 +268,21 @@ class TestIterateLog:
                 assert record.anchor is prev.anchor
 
     def test_later_cycles_and_the_caller_leave_the_log_unchanged(self):
+        # a 22-cycle run begins with the same records as a 2-cycle run, so
+        # its first two cycles' records must still read as those did
         obj = core.make_aniso_quadratic()
         cfg = AlgorithmConfig()
         x0 = np.array([1.5, 0.0])
-        state = rsp.RspState(x=x0, directions=self.AXES.copy(), phi=1.0,
-                             z=0.0)
-        for _ in range(2):
-            rsp.rsp_cycle(obj, state, cfg)
-        mid = copy.deepcopy(state.iterate_log)
-        for _ in range(20):
-            rsp.rsp_cycle(obj, state, cfg)
+
+        def walk(cycles):
+            return rsp.run(obj, x0, cfg, StopRule(max_cycles=cycles),
+                           directions=self.AXES).iterate_log
+
+        mid = copy.deepcopy(walk(2))
+        log = walk(22)
         x0[:] = 99.0
-        assert len(state.iterate_log) > len(mid)
-        assert_same_records(mid, state.iterate_log)
+        assert len(log) > len(mid)
+        assert_same_records(mid, log)
 
     def test_mutating_the_start_after_run_leaves_the_log_unchanged(self):
         x0 = np.array([1.5, 0.0])
@@ -339,11 +358,11 @@ class TestStepSizeLaws:
     def test_steps_stay_in_the_box_after_blocked_cycles(self):
         obj = core.get_objective("constant", dimension=2)
         cfg = AlgorithmConfig()
-        state = rsp.RspState(x=np.zeros(2), directions=rotated_frame(step=1.0),
-                             phi=1.0, z=0.0)
-        for _ in range(4):
-            state = rsp.rsp_cycle(obj, state, cfg, max_evaluations=10_000)
-            assert state.stopped != "max_evaluations"
+        for cycles in range(1, 5):
+            state = rsp.run(obj, np.zeros(2), cfg,
+                            StopRule(max_cycles=cycles, max_evaluations=10_000),
+                            directions=rotated_frame(step=1.0), phi0=1.0)
+            assert state.stopped == "max_cycles"
             lo = cfg.lambda_s * state.phi
             hi = cfg.lambda_t * state.phi
             for step in state.directions.step_sizes:
@@ -359,16 +378,16 @@ class TestStepSizeLaws:
     def test_nominal_phi_never_increases(self):
         rng = np.random.default_rng(31)
         obj = core.make_aniso_quadratic()
+        cfg = AlgorithmConfig()
         for _ in range(3):
             x0 = rng.uniform(-2, 2, size=2)
-            state = rsp.RspState(x=x0, directions=rotated_frame(step=0.5),
-                                 phi=0.5, z=float(obj(x0)))
-            cfg = AlgorithmConfig()
-            last = state.phi
-            for _ in range(20):
-                state = rsp.rsp_cycle(obj, state, cfg)
-                assert state.phi <= last
-                last = state.phi
+            phis = [
+                rsp.run(obj, x0, cfg, StopRule(max_cycles=cycles),
+                        directions=rotated_frame(step=0.5), phi0=0.5,
+                        z0=float(obj(x0))).phi
+                for cycles in range(21)
+            ]
+            assert phis == sorted(phis, reverse=True)
 
 
 class TestDirectionUpdate:
