@@ -22,9 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -255,23 +255,6 @@ _CONTROLLER_KEYS = ("dirs", "deltas", "phi", "v", "delta", "z")
 _STOP_KEYS = ("max_jumps", "max_evaluations", "phi_threshold")
 
 
-def _check_run_shape(config: ExperimentConfig) -> None:
-    """Reject a dense-row count or stop budget that is not a non-negative
-    integer, and a stop threshold that is not a positive number."""
-    values = {"flow_samples_per_period": config.flow_samples_per_period}
-    values.update((f"stop.{k}", v) for k, v in config.stop.items() if v is not None)
-    bad = []
-    for name, v in values.items():
-        threshold = name == "stop.phi_threshold"
-        kind = numbers.Real if threshold else numbers.Integral
-        if not (isinstance(v, kind) and not isinstance(v, bool)
-                and (v > 0 if threshold else v >= 0)):
-            what = "a positive number" if threshold else "a non-negative integer"
-            bad.append(f"{name} must be {what}, got {v!r}")
-    if bad:
-        raise ConfigError(bad)
-
-
 def _build_controller(spec: dict) -> hybrid.ControllerState:
     _reject_unknown("initial.controller key", spec, _CONTROLLER_KEYS)
     return hybrid.make_controller(
@@ -293,15 +276,14 @@ def run_experiment(
     directory receives ``arc.csv``, ``config.json``, ``summary.json`` and,
     for non-zero noise models, ``noise.csv``.  Raises `ConfigError` for an
     invalid algorithm, a key no part of the run reads, a parameter a builder
-    does not take, or a dense-row count or stop limit of the wrong type or
-    sign.
+    does not take, or (through `core.budget_violations`) a dense-row count
+    or stop limit of the wrong type or sign.
     """
     try:
         algo = AlgorithmConfig(**config.algorithm)
     except TypeError as exc:
         raise ConfigError([f"algorithm: {exc}"]) from None
     _reject_unknown("stop key", config.stop, _STOP_KEYS)
-    _check_run_shape(config)
 
     objective = _build_objective(config.objective)
     plant = _build_plant(config.plant)
@@ -375,9 +357,11 @@ def run_experiment(
             with open(
                 os.path.join(out_dir, "noise.csv"), "w", newline=""
             ) as fp:
-                writer = csv.writer(fp, lineterminator="\n")
-                writer.writerow(["k", "value"])
-                writer.writerows(enumerate(map(float, model.history), start=1))
+                fp.write("k,value\n")
+                hybrid.write_lines(fp, map(
+                    "{},{!r}\n".format, itertools.count(1),
+                    map(float, model.history),
+                ))
     return arc, summary
 
 

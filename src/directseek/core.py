@@ -10,6 +10,7 @@ objective functions with optional analytic derivatives.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -27,6 +28,7 @@ __all__ = [
     "validate_config",
     "ConfigError",
     "StopRule",
+    "budget_violations",
     "active_slot",
     "passes_determinant_guard",
     "phi_update",
@@ -275,6 +277,26 @@ class StopRule:
     max_jumps: Optional[int] = None
     max_evaluations: Optional[int] = None
     phi_threshold: Optional[float] = None
+
+
+def budget_violations(stop: StopRule, **counts) -> list[str]:
+    """Return the violations of a run's budgets (empty if valid).
+
+    Every set limit of ``stop`` and every keyword count (such as a
+    closed loop's ``flow_samples_per_period``) must be a non-negative
+    integer, not a bool; ``stop.phi_threshold`` must be a positive number.
+    """
+    values = {f"stop.{k}": x for k, x in vars(stop).items() if x is not None}
+    values.update(counts)
+    v: list[str] = []
+    for name, value in values.items():
+        threshold = name == "stop.phi_threshold"
+        kind = numbers.Real if threshold else numbers.Integral
+        if not (isinstance(value, kind) and not isinstance(value, bool)
+                and (value > 0 if threshold else value >= 0)):
+            what = "a positive number" if threshold else "a non-negative integer"
+            v.append(f"{name} must be {what}, got {value!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .core import (
     EvaluationError,
     StopRule,
     active_slot,
+    budget_violations,
     check_robust_start,
     close_cycle,
     line_end_step,
@@ -316,11 +317,12 @@ def run(
     ``directions`` defaults to the coordinate axes with unit steps;
     ``z0`` initializes the incumbent measurement (the walker never measures
     the start point before its first probe).  Raises `ConfigError` on an
-    invalid configuration, or in robust mode (``phi_min > 0``) on a start
-    direction set that fails the determinant guard (`core.check_robust_start`,
-    the rule `hybrid.run_closed_loop` applies too).
+    invalid configuration or budget (`core.budget_violations`), or in robust
+    mode (``phi_min > 0``) on a start direction set that fails the
+    determinant guard (`core.check_robust_start`); `hybrid.run_closed_loop`
+    applies both rules too.
     """
-    violations = validate_config(cfg)
+    violations = validate_config(cfg) + budget_violations(stop)
     if violations:
         raise ConfigError(violations)
     if (

@@ -80,6 +80,29 @@ class TestRunExperiment:
         assert len(rows) == 51
         assert all(abs(float(r[1])) <= 1e-6 for r in rows[1:])
 
+    def test_noise_csv_matches_csv_module(self, tmp_path, monkeypatch):
+        values = [-0.0, 5e-324, 1e-05, 1e16]
+
+        class Awkward(noise.NoiseModel):
+            kind = "awkward"
+
+            def _value(self, k, delta, direction):
+                return values[(k - 1) % len(values)]
+
+        monkeypatch.setitem(noise.NOISE_BUILDERS, "awkward", Awkward)
+        config = cli.scenario_config("fig1_quadratic_pointmass")
+        config.stop["max_jumps"] = 10
+        config.noise = {"kind": "awkward"}
+        cli.run_experiment(config, str(tmp_path))
+        with open(tmp_path / "want.csv", "w", newline="") as fp:
+            writer = csv.writer(fp, lineterminator="\n")
+            writer.writerow(["k", "value"])
+            writer.writerows(
+                enumerate([values[i % 4] for i in range(10)], start=1))
+        got = (tmp_path / "noise.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.startswith(b"k,value\n1,-0.0\n2,5e-324\n3,1e-05\n4,1e+16\n")
+
     def test_echo_only_run(self):
         config = cli.scenario_config("fig1_quadratic_pointmass")
         config.stop["max_jumps"] = 0

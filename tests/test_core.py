@@ -336,3 +336,28 @@ class TestStopRule:
                           phi_threshold=1e-6)
         assert (s.max_cycles, s.max_jumps, s.max_evaluations,
                 s.phi_threshold) == (5, 10, 100, 1e-6)
+
+    def test_set_budgets_must_be_non_negative_integers(self):
+        assert core.budget_violations(core.StopRule()) == []
+        assert core.budget_violations(
+            core.StopRule(max_cycles=0, max_jumps=0, max_evaluations=np.int64(3),
+                          phi_threshold=1e-9), flow_samples_per_period=0) == []
+        for name in ("max_cycles", "max_jumps", "max_evaluations"):
+            for bad in (-3, 2.5, True, "3"):
+                (v,) = core.budget_violations(core.StopRule(**{name: bad}))
+                assert v == (f"stop.{name} must be a non-negative integer, "
+                             f"got {bad!r}")
+
+    def test_threshold_must_be_positive(self):
+        for bad in (0.0, -1e-6, math.nan, True, "1e-6"):
+            (v,) = core.budget_violations(core.StopRule(phi_threshold=bad))
+            assert v.startswith("stop.phi_threshold must be a positive number")
+
+    def test_keyword_counts_are_budgets_too(self):
+        assert core.budget_violations(
+            core.StopRule(max_jumps=-1), flow_samples_per_period=-2) == [
+            "stop.max_jumps must be a non-negative integer, got -1",
+            "flow_samples_per_period must be a non-negative integer, got -2",
+        ]
+        assert core.budget_violations(core.StopRule(),
+                                      flow_samples_per_period=None)

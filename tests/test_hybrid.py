@@ -485,6 +485,28 @@ class TestClosedLoop:
         assert len(arc.jump_samples()) == 120
         assert calls == {"classify_jump": 120, "jump": 120}
 
+    @pytest.mark.parametrize("stop, samples", [
+        (StopRule(max_jumps=-3), 0),
+        (StopRule(max_jumps=2.5), 0),
+        (StopRule(max_evaluations=False), 0),
+        (StopRule(max_jumps=5, phi_threshold=-1.0), 0),
+        (StopRule(max_jumps=5), -2),
+        (StopRule(max_jumps=5), 1.5),
+    ], ids=["jumps-negative", "jumps-float", "evals-bool", "threshold-negative",
+            "samples-negative", "samples-float"])
+    def test_rejects_bad_budgets(self, stop, samples):
+        xc0 = make_controller(AXES, [0.5, 0.5], 0.5)
+        with pytest.raises(core.ConfigError) as info:
+            run_closed_loop(ExactPlant(), core.make_sphere(2),
+                            PlantState(np.ones(2)), xc0, AlgorithmConfig(theta=2.0),
+                            stop, flow_samples_per_period=samples)
+        # One error per run: the bad algorithm and the bad budget together.
+        assert len(info.value.violations) == 2
+
+    def test_zero_jump_budget_runs(self):
+        arc = closed_loop(core.make_sphere(2), [1.0, 1.0], 0)
+        assert (len(arc.t), arc.stopped) == (1, "max_jumps")
+
     def test_phi_threshold_stop(self):
         arc = closed_loop(core.get_objective("constant", dimension=2),
                           [0.0, 0.0], 40, deltas=(1.0, 1.0), phi=1.0)
@@ -519,6 +541,117 @@ class TestArcCsv:
         assert float(row[7]) == sample.controller.phi
         assert rows[1][2] == ""
         assert rows[1][5] == ""
+
+
+def csv_module_write(arc, fp) -> None:
+    """The oracle for `HybridArc.write_csv`: one `csv.writer` row per arc
+    row, floats through ``float``, a `JumpCase` and None as the csv module
+    writes them."""
+    n = arc.plant[0].x.shape[0] if arc.plant else 0
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(["t", "j", "case"] + [f"x{i}" for i in range(n)]
+                    + ["f", "z", "phi", "delta", "k", "q", "p", "m"])
+    writer.writerows(
+        [float(t), j, case, *xi.x.tolist(), y,
+         float(xc.z), float(xc.phi), float(xc.delta), xc.k, xc.q, xc.p, xc.m]
+        for t, j, case, y, xi, xc in zip(arc.t, arc.j, arc.case, arc.measured,
+                                         arc.plant, arc.controller)
+    )
+
+
+def assert_writes_like_oracle(arc) -> str:
+    got, want = io.StringIO(), io.StringIO()
+    arc.write_csv(got)
+    csv_module_write(arc, want)
+    assert got.getvalue() == want.getvalue()
+    return got.getvalue()
+
+
+def signed_zero_arc() -> hybrid.HybridArc:
+    """Rows whose ``x``, ``f`` and ``z`` hold ``0.0`` and ``-0.0``: equal
+    floats with different reprs, as fresh objects and as shared ones."""
+    arc = hybrid.HybridArc()
+    zero, neg = 0.0, -0.0
+    arc.append(0.0, 0, PlantState(np.array([0.0, -0.0])), controller(z=neg))
+    shared = controller(z=zero, phi=neg, delta=-0.0)
+    arc.append(0.1, 1, PlantState(np.array([-0.0, 0.0])), shared, neg,
+               JumpCase.D2)
+    arc.append(0.15, 1, PlantState(np.array([-0.0, -0.0])), shared)
+    arc.append(0.2, 2, PlantState(np.array([0.0, 0.0])),
+               controller(z=neg, phi=neg, delta=0.0), neg, JumpCase.D3)
+    arc.append(0.3, 3, PlantState(np.array([1e-300, -5e-324])),
+               controller(z=zero, delta=0.0), -0.0, JumpCase.D1)
+    return arc
+
+
+class TestArcCsvOracle:
+    def test_point_mass_dense_rows(self):
+        plant = plants.get_plant("point_mass", substeps=8)
+        xc0 = make_controller(AXES, [0.5, 0.5], 0.5)
+        arc = run_closed_loop(
+            plant, core.make_aniso_quadratic(), PlantState(np.array([1.5, 0.0])),
+            xc0, AlgorithmConfig(), StopRule(max_jumps=40),
+            flow_samples_per_period=3,
+        )
+        # Dense rows share the jump row's controller and leave f/case empty.
+        assert arc.controller[1] is arc.controller[0]
+        assert arc.case[1] is None and arc.measured[1] is None
+        text = assert_writes_like_oracle(arc)
+        assert text.count("\n") == 1 + 1 + 40 * 4
+
+    def test_one_dimensional(self):
+        xc0 = make_controller([np.array([1.0])], [0.5], 0.5)
+        arc = run_closed_loop(
+            ExactPlant(), core.get_objective("sphere", dimension=1),
+            PlantState(np.array([1.3])), xc0, AlgorithmConfig(),
+            StopRule(max_jumps=60),
+        )
+        assert assert_writes_like_oracle(arc).startswith(
+            "t,j,case,x0,f,z,phi,delta,k,q,p,m\n")
+
+    def test_dubins(self):
+        plant = plants.get_plant("dubins", v_max=10.0, u_max=80.0)
+        xc0 = make_controller(AXES, [0.05, 0.05], 0.05)
+        arc = run_closed_loop(
+            plant, core.make_rosenbrock(),
+            plant.initial_state(np.array([1.5, 0.0]), 0.3), xc0,
+            AlgorithmConfig(), StopRule(max_jumps=50),
+        )
+        assert_writes_like_oracle(arc)
+
+    def test_signed_zeros_keep_their_sign(self):
+        text = assert_writes_like_oracle(signed_zero_arc())
+        rows = text.splitlines()
+        assert rows[1] == "0.0,0,,0.0,-0.0,,-0.0,1.0,0.5,0,0,1,0"
+        assert rows[2] == "0.1,1,D2,-0.0,0.0,-0.0,0.0,-0.0,-0.0,0,0,1,0"
+        assert rows[3] == "0.15,1,,-0.0,-0.0,,0.0,-0.0,-0.0,0,0,1,0"
+
+    def test_header_only(self):
+        assert assert_writes_like_oracle(hybrid.HybridArc()) == (
+            "t,j,case,f,z,phi,delta,k,q,p,m\n")
+
+
+class _RecordingSink:
+    """A text sink that keeps every string passed to `write`."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def test_write_csv_streams_in_bounded_writes():
+    arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 19_999,
+                      noise=BoundedRandomNoise(1e-3, seed=5))
+    assert len(arc.t) == 20_000
+    sink = _RecordingSink()
+    arc.write_csv(sink)
+    assert max(map(len, sink.writes)) <= 64 * 1024
+    want = io.StringIO()
+    csv_module_write(arc, want)
+    assert "".join(sink.writes) == want.getvalue()
 
 
 # Walker log kinds named by the jump case the controller takes for the same

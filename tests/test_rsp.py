@@ -177,6 +177,30 @@ class TestRun:
             rsp.run(make_parabola(), np.array([1.0]),
                     AlgorithmConfig(theta=1.0), StopRule(max_cycles=1))
 
+    @pytest.mark.parametrize("stop", [
+        StopRule(max_evaluations=-3),
+        StopRule(max_evaluations=2.5),
+        StopRule(max_evaluations=True),
+        StopRule(max_cycles=-1),
+        StopRule(max_cycles=1.0),
+        StopRule(max_cycles=1, phi_threshold=0.0),
+    ], ids=["evals-negative", "evals-float", "evals-bool", "cycles-negative",
+            "cycles-float", "threshold-zero"])
+    def test_rejects_bad_budgets(self, stop):
+        with pytest.raises(core.ConfigError, match="stop[.]"):
+            rsp.run(make_parabola(), np.array([1.0]), AlgorithmConfig(), stop)
+
+    def test_bad_config_and_budget_raise_once(self):
+        with pytest.raises(core.ConfigError) as info:
+            rsp.run(make_parabola(), np.array([1.0]),
+                    AlgorithmConfig(theta=1.0), StopRule(max_evaluations=-3))
+        assert len(info.value.violations) == 2
+
+    def test_zero_budget_runs(self):
+        state = rsp.run(make_parabola(), np.array([1.0]), AlgorithmConfig(),
+                        StopRule(max_evaluations=0))
+        assert (state.evaluations, state.stopped) == (0, "max_evaluations")
+
     def test_robust_mode_requires_independent_directions(self):
         ds = DirectionSet([np.array([1.0, 0.0]), np.array([2.0, 0.0])],
                           [1.0, 1.0])
