@@ -29,6 +29,7 @@ __all__ = [
     "ConfigError",
     "StopRule",
     "budget_violations",
+    "dimension_violations",
     "active_slot",
     "passes_determinant_guard",
     "phi_update",
@@ -299,6 +300,35 @@ def budget_violations(stop: StopRule, **counts) -> list[str]:
     return v
 
 
+def dimension_violations(
+    x0, directions: Sequence, steps: Sequence[float],
+    dimension: Optional[int] = None, active=None,
+) -> list[str]:
+    """Return the violations of a run's dimensions (empty if they agree).
+
+    With ``n = len(directions)``, the start ``x0``, every direction and a
+    given ``active`` direction must be ``n``-vectors, there must be one
+    stored step per direction, and a given plant ``dimension`` must equal
+    ``n``.
+    """
+    n = len(directions)
+    v: list[str] = []
+    if np.shape(x0) != (n,):
+        v.append(f"start has shape {np.shape(x0)}, expected ({n},) "
+                 f"for {n} directions")
+    for i, d in enumerate(directions):
+        if np.shape(d) != (n,):
+            v.append(f"direction {i} has shape {np.shape(d)}, expected ({n},)")
+    if active is not None and np.shape(active) != (n,):
+        v.append(f"active direction has shape {np.shape(active)}, "
+                 f"expected ({n},)")
+    if len(steps) != n:
+        v.append(f"{len(steps)} stored steps for {n} directions")
+    if dimension is not None and dimension != n:
+        v.append(f"plant dimension {dimension} differs from {n} directions")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Search rules shared by the walker and the controller
 # ---------------------------------------------------------------------------
@@ -488,7 +518,8 @@ def make_aniso_quadratic() -> ObjectiveFunction:
     H = np.diag([2.0, 10.0])
 
     def f(x: np.ndarray) -> float:
-        return float(x[0] * x[0] + 5.0 * x[1] * x[1])
+        x0, x1 = x.tolist()
+        return x0 * x0 + 5.0 * x1 * x1
 
     def g(x: np.ndarray) -> np.ndarray:
         return np.array([2.0 * x[0], 10.0 * x[1]])
@@ -514,9 +545,10 @@ def make_rosenbrock() -> ObjectiveFunction:
     """
 
     def f(x: np.ndarray) -> float:
-        a = 1.0 - x[0]
-        b = x[1] - x[0] * x[0]
-        return float(a * a + 10.0 * b * b)
+        x0, x1 = x.tolist()
+        a = 1.0 - x0
+        b = x1 - x0 * x0
+        return a * a + 10.0 * b * b
 
     def g(x: np.ndarray) -> np.ndarray:
         b = x[1] - x[0] * x[0]

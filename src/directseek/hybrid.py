@@ -46,6 +46,7 @@ from .core import (
     budget_violations,
     check_robust_start,
     close_cycle,
+    dimension_violations,
     line_end_step,
     line_travel,
     phi_update,
@@ -436,19 +437,26 @@ def run_closed_loop(
     multiples of the period.  ``flow_samples_per_period = F > 0`` also logs
     the plant's dense rows ``i * (rows // (F + 1)) - 1``, ``i = 1..F``: with
     evenly spaced rows (point mass) at ``(j + i / (F + 1)) * tau_star`` in
-    period ``j``.  Each row is appended to the arc's columns; rows share the
-    loop's states, and ``xi0``/``xc0`` are copied once on entry.
+    period ``j``, each as the plant's ``row_state`` of it (the Dubins
+    heading wrapped as at a jump).  Each row is appended to the arc's
+    columns; rows share the loop's states, and ``xi0``/``xc0`` are copied
+    once on entry.
 
     Raises `ConfigError` on invalid configuration or budgets
-    (`core.budget_violations`, which also checks ``F``); robust mode
+    (`core.budget_violations`, which also checks ``F``) or dimensions that
+    disagree (`core.dimension_violations`: the start, the stored and active
+    directions, the stored steps and ``plant.dimension``); robust mode
     (``phi_min > 0``) additionally requires the initial direction set to
     clear the determinant safeguard.  Raises `ValueError` when the plant
     emits fewer than ``F + 1`` dense rows a period (`ExactPlant` emits one).
     Raises `EvaluationError` when a measurement (objective value plus
     noise) is non-finite, as the walker does.
     """
-    violations = validate_config(cfg) + budget_violations(
-        stop, flow_samples_per_period=flow_samples_per_period
+    violations = (
+        validate_config(cfg)
+        + budget_violations(stop, flow_samples_per_period=flow_samples_per_period)
+        + dimension_violations(xi0.x, xc0.dirs, xc0.deltas, plant.dimension,
+                               active=xc0.v)
     )
     if violations:
         raise ConfigError(violations)
@@ -490,8 +498,8 @@ def run_closed_loop(
                 )
             for i in range(1, flow_samples_per_period + 1):
                 t_rel, y_state = collect[i * stride - 1]
-                arc.append(j * cfg.tau_star + t_rel, j,
-                           PlantState(np.array(y_state[: xi.x.shape[0]])), xc)
+                arc.append(j * cfg.tau_star + t_rel, j, plant.row_state(y_state),
+                           xc)
 
         j += 1
         y = float(objective(xi.x))

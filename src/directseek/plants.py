@@ -3,9 +3,13 @@
 Each plant turns a requested displacement into a control schedule that is
 feasible within one sampling period (`steer`) and flows its continuous
 dynamics along that schedule (`integrate`).  Every segment has a closed-form
-flow, which `integrate` evaluates exactly.  A plant's ``substeps`` per period
-only set the spacing of the dense rows `integrate` can collect.  Three models
-are provided:
+flow, which `integrate` evaluates exactly on Python floats read once from
+the state.  A plant's ``substeps`` per period only set the spacing of the
+dense rows `integrate` can collect; those rows hold the raw flow state
+``(x..., zeta...)``, and `row_state` turns one into a `PlantState` as
+`integrate` turns the endpoint.  The states the plants return are built
+from float64 arrays the plant made itself, without `PlantState`'s
+conversion step.  Three models are provided:
 
 - ``PointMassPlant``: velocity-actuated integrator, x' = u.
 - ``DubinsPlant``: planar unicycle (x1' = s cos zeta, x2' = s sin zeta,
@@ -53,11 +57,15 @@ _NO_ZETA = np.zeros(0)
 _NO_ZETA.flags.writeable = False
 
 
-@dataclass
+@dataclass(slots=True)
 class PlantState:
     """Plant configuration: probe position ``x`` plus internal state ``zeta``
     (empty for plants with no internal state, one read-only array shared by
-    all such states; ``[heading]`` for Dubins)."""
+    all such states; ``[heading]`` for Dubins).
+
+    The constructor and `copy` convert their input to float64 arrays; the
+    plants build the states they return with `_state`, which skips that.
+    """
 
     x: np.ndarray
     zeta: np.ndarray = field(default_factory=lambda: _NO_ZETA)
@@ -68,6 +76,15 @@ class PlantState:
 
     def copy(self) -> "PlantState":
         return PlantState(self.x.copy(), self.zeta.copy())
+
+
+def _state(x: np.ndarray, zeta: np.ndarray = _NO_ZETA) -> PlantState:
+    """A `PlantState` of float64 arrays the caller built itself, skipping
+    `__post_init__`'s conversion."""
+    state = object.__new__(PlantState)
+    state.x = x
+    state.zeta = zeta
+    return state
 
 
 @dataclass
@@ -89,25 +106,30 @@ def wrap_angle(a: float) -> float:
     return math.pi if w <= -math.pi else w
 
 
-def _exact_segment(
+def _dense_rows(
+    collect: list,
     flow: Callable[[tuple[float, ...], float], tuple[float, ...]],
     y0: tuple[float, ...],
+    end: tuple[float, ...],
+    t0: float,
     duration: float,
     nsteps: int,
-    collect: Optional[list] = None,
-    t0: float = 0.0,
+) -> None:
+    """Append ``(t, flow(y0, s))`` after each of ``nsteps`` equal substeps of
+    a segment that starts at ``y0`` and time ``t0``.  The last row is
+    ``end``, the endpoint the caller already flowed, so collecting never
+    changes the result."""
+    h = duration / nsteps
+    for step in range(1, nsteps):
+        collect.append((t0 + step * h, flow(y0, step * h)))
+    collect.append((t0 + nsteps * h, end))
+
+
+def _line_flow(
+    u: Sequence[float], y0: tuple[float, ...], s: float
 ) -> tuple[float, ...]:
-    """Closed-form flow over one segment, ``flow(y0, s)`` being the state
-    after time ``s``.  When ``collect`` is given, appends (t, y) after each
-    of ``nsteps`` equal substeps; the last row is the returned endpoint
-    itself, so collecting never changes the result."""
-    y = flow(y0, duration)
-    if collect is not None:
-        h = duration / nsteps
-        for step in range(1, nsteps):
-            collect.append((t0 + step * h, flow(y0, step * h)))
-        collect.append((t0 + nsteps * h, y))
-    return y
+    """Point-mass state after time ``s`` at constant velocity ``u``."""
+    return tuple([a + s * b for a, b in zip(y0, u)])
 
 
 def _dubins_flow(
@@ -148,14 +170,17 @@ class PointMassPlant:
     def initial_state(self, x) -> PlantState:
         return PlantState(np.asarray(x, dtype=float))
 
+    def row_state(self, row: Sequence[float]) -> PlantState:
+        """The state of a dense row ``(x1, ..., xn)`` of `integrate`."""
+        return _state(np.array(row))
+
     def steer(
         self, xi: PlantState, target: np.ndarray, tau_star: float
     ) -> tuple[list[Segment], PlantState]:
         """Constant velocity ``target / tau_star`` for the whole period."""
         target = np.asarray(target, dtype=float)
-        u = tuple(float(t) / tau_star for t in target)
-        predicted = PlantState(xi.x + target)
-        return [Segment(tau_star, u)], predicted
+        u = tuple([t / tau_star for t in target.tolist()])
+        return [Segment(tau_star, u)], _state(xi.x + target)
 
     def integrate(
         self,
@@ -164,18 +189,18 @@ class PointMassPlant:
         tau_star: float,
         collect: Optional[list] = None,
     ) -> PlantState:
-        y = tuple(float(v) for v in xi.x)
+        y = tuple(xi.x.tolist())
         t = 0.0
         for seg in schedule:
-            nsteps = max(1, round(self.substeps * seg.duration / tau_star))
-
-            def line(y0, s, _u=seg.controls):
-                return tuple(a + s * b for a, b in zip(y0, _u))
-
-            y = _exact_segment(line, y, seg.duration, nsteps, collect, t)
-            t += seg.duration
+            u, d = seg.controls, seg.duration
+            end = _line_flow(u, y, d)
+            if collect is not None:
+                nsteps = max(1, round(self.substeps * d / tau_star))
+                _dense_rows(collect, partial(_line_flow, u), y, end, t, d, nsteps)
+            y = end
+            t += d
         _check_finite(y)
-        return PlantState(np.array(y))
+        return self.row_state(y)
 
 
 class DubinsPlant:
@@ -203,18 +228,25 @@ class DubinsPlant:
     def initial_state(self, x, heading: float = 0.0) -> PlantState:
         return PlantState(np.asarray(x, dtype=float), np.array([float(heading)]))
 
+    def row_state(self, row: Sequence[float]) -> PlantState:
+        """The state of a dense row ``(x1, x2, heading)`` of `integrate`, the
+        heading wrapped into (-pi, pi]."""
+        x1, x2, heading = row
+        return _state(np.array([x1, x2]), np.array([wrap_angle(heading)]))
+
     def steer(
         self, xi: PlantState, target: np.ndarray, tau_star: float
     ) -> tuple[list[Segment], PlantState]:
         target = np.asarray(target, dtype=float)
-        length = math.hypot(target[0], target[1])
-        heading = float(xi.zeta[0])
+        tx, ty = target.tolist()
+        (heading,) = xi.zeta.tolist()
+        length = math.hypot(tx, ty)
         if length == 0.0:
             # Hold in place for the period; heading unchanged.
-            predicted = PlantState(xi.x.copy(), xi.zeta.copy())
+            predicted = _state(xi.x.copy(), xi.zeta.copy())
             return [Segment(tau_star, (0.0, 0.0))], predicted
 
-        bearing = math.atan2(float(target[1]), float(target[0]))
+        bearing = math.atan2(ty, tx)
         dpsi = wrap_angle(bearing - heading)
         t_turn = abs(dpsi) / self.u_max
         if t_turn >= tau_star:
@@ -235,7 +267,7 @@ class DubinsPlant:
         if t_turn > 0.0:
             schedule.append(Segment(t_turn, (0.0, math.copysign(self.u_max, dpsi))))
         schedule.append(Segment(t_run, (speed, 0.0)))
-        predicted = PlantState(xi.x + target, np.array([bearing]))
+        predicted = _state(xi.x + target, np.array([bearing]))
         return schedule, predicted
 
     def integrate(
@@ -245,17 +277,19 @@ class DubinsPlant:
         tau_star: float,
         collect: Optional[list] = None,
     ) -> PlantState:
-        y = (float(xi.x[0]), float(xi.x[1]), float(xi.zeta[0]))
+        y = (*xi.x.tolist(), *xi.zeta.tolist())
         t = 0.0
         for seg in schedule:
-            nsteps = max(1, round(self.substeps * seg.duration / tau_star))
-            y = _exact_segment(
-                partial(_dubins_flow, *seg.controls), y, seg.duration, nsteps,
-                collect, t,
-            )
-            t += seg.duration
+            (speed, turn), d = seg.controls, seg.duration
+            end = _dubins_flow(speed, turn, y, d)
+            if collect is not None:
+                nsteps = max(1, round(self.substeps * d / tau_star))
+                _dense_rows(collect, partial(_dubins_flow, speed, turn), y, end,
+                            t, d, nsteps)
+            y = end
+            t += d
         _check_finite(y)
-        return PlantState(np.array([y[0], y[1]]), np.array([wrap_angle(y[2])]))
+        return self.row_state(y)
 
 
 class ExactPlant:
@@ -275,12 +309,14 @@ class ExactPlant:
     def initial_state(self, x) -> PlantState:
         return PlantState(np.asarray(x, dtype=float))
 
+    row_state = PointMassPlant.row_state
+
     def steer(
         self, xi: PlantState, target: np.ndarray, tau_star: float
     ) -> tuple[list[Segment], PlantState]:
         """One segment whose controls are the float ``target`` array itself
         (shared, not copied)."""
-        return [Segment(tau_star, target)], PlantState(xi.x + target)
+        return [Segment(tau_star, target)], _state(xi.x + target)
 
     def integrate(
         self,
@@ -297,7 +333,7 @@ class ExactPlant:
             if collect is not None:
                 collect.append((t, x.tolist()))
         _check_finite(x.tolist())
-        return PlantState(x)
+        return _state(x)
 
 
 PLANT_BUILDERS: dict[str, Callable] = {

@@ -36,6 +36,7 @@ from .core import (
     budget_violations,
     check_robust_start,
     close_cycle,
+    dimension_violations,
     line_end_step,
     line_travel,
     passes_determinant_guard,
@@ -317,12 +318,23 @@ def run(
     ``directions`` defaults to the coordinate axes with unit steps;
     ``z0`` initializes the incumbent measurement (the walker never measures
     the start point before its first probe).  Raises `ConfigError` on an
-    invalid configuration or budget (`core.budget_violations`), or in robust
-    mode (``phi_min > 0``) on a start direction set that fails the
-    determinant guard (`core.check_robust_start`); `hybrid.run_closed_loop`
-    applies both rules too.
+    invalid configuration or budget (`core.budget_violations`), on a start
+    and directions whose dimensions disagree (`core.dimension_violations`),
+    or in robust mode (``phi_min > 0``) on a start direction set that fails
+    the determinant guard (`core.check_robust_start`);
+    `hybrid.run_closed_loop` applies these rules too.
     """
-    violations = validate_config(cfg) + budget_violations(stop)
+    x0 = np.asarray(x0, dtype=float)
+    if directions is None:
+        n = x0.size
+        directions = DirectionSet(
+            [np.eye(n)[i] for i in range(n)], [1.0] * n
+        )
+    violations = (
+        validate_config(cfg)
+        + budget_violations(stop)
+        + dimension_violations(x0, directions.directions, directions.step_sizes)
+    )
     if violations:
         raise ConfigError(violations)
     if (
@@ -331,12 +343,6 @@ def run(
         and stop.max_evaluations is None
     ):
         raise ValueError("stop rule has no limits set; the run would never end")
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    if directions is None:
-        directions = DirectionSet(
-            [np.eye(n)[i] for i in range(n)], [1.0] * n
-        )
     check_robust_start(directions, cfg)
     state = RspState(
         x=x0, directions=directions.copy(), phi=float(phi0), z=float(z0)

@@ -262,6 +262,33 @@ class TestMain:
         assert field in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("scenario, edit, expected", [
+        ("fig2_rosenbrock_dubins",
+         lambda d: d["initial"].update(x=[1.5, 0.0, 0.0]),
+         "start has shape (3,), expected (2,) for 2 directions"),
+        ("fig1_quadratic_pointmass",
+         lambda d: d["initial"]["controller"]["deltas"].append(0.5),
+         "3 stored steps for 2 directions"),
+        ("fig1_quadratic_pointmass",
+         lambda d: d["plant"].update(dimension=3),
+         "plant dimension 3 differs from 2 directions"),
+        ("fig1_quadratic_pointmass",
+         lambda d: d["initial"]["controller"].update(v=[1.0, 0.0, 0.0]),
+         "active direction has shape (3,), expected (2,)"),
+    ], ids=["fig2-start", "fig1-steps", "fig1-plant", "fig1-active"])
+    def test_disagreeing_dimensions_are_a_usage_error(self, tmp_path, capsys,
+                                                      scenario, edit, expected):
+        data = cli.scenario_config(scenario).to_dict()
+        edit(data)
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert expected in err
+        assert not out_dir.exists()
+
     def test_config_file_runs(self, tmp_path, capsys):
         path = tmp_path / "quick.json"
         data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()

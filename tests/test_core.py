@@ -361,3 +361,30 @@ class TestStopRule:
         ]
         assert core.budget_violations(core.StopRule(),
                                       flow_samples_per_period=None)
+
+
+class TestDimensionRule:
+    AXES = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+
+    def test_agreeing_dimensions_pass(self):
+        assert core.dimension_violations(np.zeros(2), self.AXES, [0.5, 0.5]) == []
+        assert core.dimension_violations(
+            np.zeros(2), self.AXES, [0.5, 0.5], dimension=2,
+            active=self.AXES[0]) == []
+
+    def test_each_disagreement_is_named(self):
+        axes, steps = self.AXES, [0.5, 0.5]
+        assert core.dimension_violations(np.zeros(3), axes, steps) == [
+            "start has shape (3,), expected (2,) for 2 directions"]
+        assert core.dimension_violations(
+            np.zeros(2), [axes[0], np.zeros(3)], steps) == [
+            "direction 1 has shape (3,), expected (2,)"]
+        assert core.dimension_violations(np.zeros(2), axes, steps * 2) == [
+            "4 stored steps for 2 directions"]
+        assert core.dimension_violations(
+            np.zeros(2), axes, steps, dimension=4) == [
+            "plant dimension 4 differs from 2 directions"]
+        assert core.dimension_violations(
+            np.zeros(2), axes, steps, active=np.zeros(3)) == [
+            "active direction has shape (3,), expected (2,)"]
+

@@ -503,6 +503,32 @@ class TestClosedLoop:
         # One error per run: the bad algorithm and the bad budget together.
         assert len(info.value.violations) == 2
 
+    @pytest.mark.parametrize("plant, x0, dirs, deltas, expected", [
+        (ExactPlant(2), np.ones(4), list(np.eye(4)), [0.5] * 4,
+         "plant dimension 2 differs from 4 directions"),
+        (plants.PointMassPlant(2), np.ones(4), list(np.eye(4)), [0.5] * 4,
+         "plant dimension 2 differs from 4 directions"),
+        (ExactPlant(2), np.ones(2), AXES, [0.5] * 3,
+         "3 stored steps for 2 directions"),
+        (ExactPlant(2), np.ones(3), AXES, [0.5] * 2,
+         "start has shape (3,), expected (2,) for 2 directions"),
+        (ExactPlant(2), np.ones(2), [np.ones(3), AXES[1]], [0.5] * 2,
+         "direction 0 has shape (3,), expected (2,)"),
+        (ExactPlant(2), np.ones(2), AXES, [0.5] * 2,
+         "active direction has shape (3,), expected (2,)"),
+    ], ids=["exact-plant", "point-mass-plant", "steps", "start", "direction",
+            "active"])
+    def test_rejects_disagreeing_dimensions(self, plant, x0, dirs, deltas,
+                                            expected):
+        active = np.ones(3) if expected.startswith("active") else None
+        xc0 = make_controller(dirs, deltas, 0.5, v=active)
+        with pytest.raises(core.ConfigError) as info:
+            run_closed_loop(plant, core.make_sphere(x0.size), PlantState(x0),
+                            xc0, AlgorithmConfig(), StopRule(max_jumps=-1))
+        # One error per run: the bad budget and the bad dimension together.
+        assert info.value.violations == [
+            "stop.max_jumps must be a non-negative integer, got -1", expected]
+
     def test_zero_jump_budget_runs(self):
         arc = closed_loop(core.make_sphere(2), [1.0, 1.0], 0)
         assert (len(arc.t), arc.stopped) == (1, "max_jumps")
@@ -602,7 +628,7 @@ class TestArcCsvOracle:
     def test_one_dimensional(self):
         xc0 = make_controller([np.array([1.0])], [0.5], 0.5)
         arc = run_closed_loop(
-            ExactPlant(), core.get_objective("sphere", dimension=1),
+            ExactPlant(dimension=1), core.get_objective("sphere", dimension=1),
             PlantState(np.array([1.3])), xc0, AlgorithmConfig(),
             StopRule(max_jumps=60),
         )

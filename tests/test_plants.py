@@ -1,9 +1,11 @@
 """Tests for the continuous-time plants: point mass, unicycle (turn-rate
 limited), the idealized algebraic plant, and the steering/integration
 contracts they share.  Fixed-step RK4 lives here as the oracle the plants'
-closed-form flows are checked against."""
+closed-form flows are checked against, and `exact_segment` as the oracle of
+their dense rows."""
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from directseek.plants import (
     PointMassPlant,
     Segment,
     SteeringError,
+    _dubins_flow,
     get_plant,
     wrap_angle,
 )
@@ -344,6 +347,143 @@ class TestCollectInvariance:
             ]
         assert len(jumps[0]) == 300
         assert jumps[3] == jumps[0]
+
+
+def exact_segment(flow, y0, duration, nsteps, collect=None, t0=0.0):
+    """Closed-form flow over one segment, ``flow(y0, s)`` being the state
+    after time ``s``.  When ``collect`` is given, appends (t, y) after each
+    of ``nsteps`` equal substeps; the last row is the returned endpoint
+    itself.  The dense-row walk the plants used before they flowed each
+    endpoint directly."""
+    y = flow(y0, duration)
+    if collect is not None:
+        h = duration / nsteps
+        for step in range(1, nsteps):
+            collect.append((t0 + step * h, flow(y0, step * h)))
+        collect.append((t0 + nsteps * h, y))
+    return y
+
+
+def oracle_rows(plant, xi, schedule, tau_star):
+    """Dense rows and raw endpoint of ``schedule`` through `exact_segment`."""
+    dubins = isinstance(plant, DubinsPlant)
+    if dubins:
+        y = (float(xi.x[0]), float(xi.x[1]), float(xi.zeta[0]))
+    else:
+        y = tuple(float(v) for v in xi.x)
+    rows: list = []
+    t = 0.0
+    for seg in schedule:
+        nsteps = max(1, round(plant.substeps * seg.duration / tau_star))
+        if dubins:
+            flow = partial(_dubins_flow, *seg.controls)
+        else:
+
+            def flow(y0, s, _u=seg.controls):
+                return tuple(a + s * b for a, b in zip(y0, _u))
+
+        y = exact_segment(flow, y, seg.duration, nsteps, rows, t)
+        t += seg.duration
+    return rows, y
+
+
+def row_bits(rows):
+    """Rows with every float as its exact hex form (so -0.0 != 0.0)."""
+    return [(t.hex(), tuple(v.hex() for v in y)) for t, y in rows]
+
+
+class TestDenseRowOracle:
+    @pytest.mark.parametrize("substeps", [1, 7, 100])
+    def test_rows_match_the_oracle_bitwise(self, substeps):
+        # steered_cases builds fresh plants; substeps only space the rows
+        for plant, xi, schedule in steered_cases():
+            plant.substeps = substeps
+            rows: list = []
+            out = plant.integrate(xi, schedule, TAU, collect=rows)
+            ref_rows, ref_end = oracle_rows(plant, xi, schedule, TAU)
+            assert row_bits(rows) == row_bits(ref_rows)
+            end = plant.row_state(ref_end)
+            assert out.x.tobytes() == end.x.tobytes()
+            assert out.zeta.tobytes() == end.zeta.tobytes()
+
+
+class TestStateConstruction:
+    @staticmethod
+    def returned_states():
+        """Every state `steer` and `integrate` return on the three plants,
+        the Dubins hold included."""
+        rng = np.random.default_rng(17)
+        cases = [(ExactPlant(dimension=3), PlantState(rng.uniform(-1, 1, 3)),
+                  rng.uniform(-0.1, 0.1, 3))]
+        pm = PointMassPlant(dimension=3)
+        cases += [(pm, pm.initial_state(rng.uniform(-1, 1, 3)), target)
+                  for target in (rng.uniform(-0.1, 0.1, 3), np.zeros(3))]
+        db = DubinsPlant(v_max=10.0, u_max=80.0)
+        cases += [(db, db.initial_state([0.3, -0.2], 1.0), target)
+                  for target in (np.array([0.02, -0.01]), np.zeros(2))]
+        for plant, xi, target in cases:
+            schedule, predicted = plant.steer(xi, target, TAU)
+            yield plant, predicted
+            yield plant, plant.integrate(xi, schedule, TAU)
+            yield plant, plant.integrate(xi, schedule, TAU, collect=[])
+
+    def test_states_have_no_dict(self):
+        assert not hasattr(PlantState(np.zeros(2)), "__dict__")
+        for _, state in self.returned_states():
+            assert type(state) is PlantState
+            assert not hasattr(state, "__dict__")
+
+    def test_returned_states_hold_float64(self):
+        for plant, state in self.returned_states():
+            for a in (state.x, state.zeta):
+                assert type(a) is np.ndarray and a.dtype == np.float64
+            assert state.x.shape == (plant.dimension,)
+            n_zeta = 1 if isinstance(plant, DubinsPlant) else 0
+            assert state.zeta.shape == (n_zeta,)
+
+    def test_stateless_plants_share_the_read_only_empty_zeta(self):
+        shared = PlantState(np.zeros(2)).zeta
+        assert not shared.flags.writeable
+        for plant, state in self.returned_states():
+            if not isinstance(plant, DubinsPlant):
+                assert state.zeta is shared
+
+    def test_outside_input_is_converted(self):
+        for state in (PlantState([0, 1]), PlantState([0, 1], [2]),
+                      PlantState([0, 1]).copy(),
+                      PointMassPlant().initial_state([0, 1]),
+                      ExactPlant().initial_state([0, 1]),
+                      DubinsPlant().initial_state([0, 1], 2)):
+            assert state.x.dtype == np.float64
+            assert state.zeta.dtype == np.float64
+            assert state.x.tolist() == [0.0, 1.0]
+
+
+class TestDubinsDenseRows:
+    def test_fig2_dense_rows_keep_the_wrapped_heading(self):
+        base = cli.scenario_config("fig2_rosenbrock_dubins")
+        config = dataclasses.replace(
+            base, stop={"max_jumps": 2}, flow_samples_per_period=3)
+        arc, _ = cli.run_experiment(config, None)
+        plant = get_plant(**config.plant)
+        tau = config.algorithm["tau_star"]
+        starts = [0, *arc.jump_rows()]
+        assert len(starts) == 3
+        for r, next_r in zip(starts, starts[1:]):
+            xi, xc = arc.plant[r], arc.controller[r]
+            schedule, _ = plant.steer(xi, (xc.p * xc.delta) * xc.v, tau)
+            raw: list = []
+            plant.integrate(xi, schedule, tau, collect=raw)
+            stride = len(raw) // 4
+            dense = range(r + 1, next_r)
+            assert len(dense) == 3
+            for i, row in enumerate(dense, start=1):
+                x1, x2, heading = raw[i * stride - 1][1]
+                state = arc.plant[row]
+                assert state.x.tolist() == [x1, x2]
+                assert state.zeta.tolist() == [wrap_angle(heading)]
+                assert -math.pi < state.zeta[0] <= math.pi
+            assert arc.plant[next_r].zeta.shape == (1,)
 
 
 class TestExactPlant:

@@ -196,6 +196,28 @@ class TestRun:
                     AlgorithmConfig(theta=1.0), StopRule(max_evaluations=-3))
         assert len(info.value.violations) == 2
 
+    @pytest.mark.parametrize("case, expected", [
+        ("start", "start has shape (3,), expected (2,) for 2 directions"),
+        ("direction", "direction 1 has shape (3,), expected (2,)"),
+        ("steps", "3 stored steps for 2 directions"),
+    ], ids=["start", "direction", "steps"])
+    def test_rejects_disagreeing_dimensions(self, case, expected):
+        # A DirectionSet checks itself when built; its lists can still be
+        # changed afterwards, so the run checks them again.
+        ds = DirectionSet([np.array([1.0, 0.0]), np.array([0.0, 1.0])],
+                          [0.5, 0.5])
+        x0 = np.ones(3) if case == "start" else np.ones(2)
+        if case == "direction":
+            ds.directions[1] = np.ones(3)
+        if case == "steps":
+            ds.step_sizes.append(0.5)
+        with pytest.raises(core.ConfigError) as info:
+            rsp.run(core.make_sphere(2), x0, AlgorithmConfig(),
+                    StopRule(max_evaluations=-3), directions=ds)
+        assert info.value.violations == [
+            "stop.max_evaluations must be a non-negative integer, got -3",
+            expected]
+
     def test_zero_budget_runs(self):
         state = rsp.run(make_parabola(), np.array([1.0]), AlgorithmConfig(),
                         StopRule(max_evaluations=0))
