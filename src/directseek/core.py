@@ -303,13 +303,16 @@ def budget_violations(stop: StopRule, **counts) -> list[str]:
 def dimension_violations(
     x0, directions: Sequence, steps: Sequence[float],
     dimension: Optional[int] = None, active=None,
+    zeta=None, zeta_dimension: Optional[int] = None,
 ) -> list[str]:
     """Return the violations of a run's dimensions (empty if they agree).
 
     With ``n = len(directions)``, the start ``x0``, every direction and a
     given ``active`` direction must be ``n``-vectors, there must be one
     stored step per direction, and a given plant ``dimension`` must equal
-    ``n``.
+    ``n``.  A given ``zeta_dimension`` is the length of the plant's internal
+    state, and the start's internal state ``zeta`` must be a vector of that
+    length.
     """
     n = len(directions)
     v: list[str] = []
@@ -326,6 +329,9 @@ def dimension_violations(
         v.append(f"{len(steps)} stored steps for {n} directions")
     if dimension is not None and dimension != n:
         v.append(f"plant dimension {dimension} differs from {n} directions")
+    if zeta_dimension is not None and np.shape(zeta) != (zeta_dimension,):
+        v.append(f"plant internal state has shape {np.shape(zeta)}, "
+                 f"expected ({zeta_dimension},)")
     return v
 
 

@@ -67,6 +67,7 @@ __all__ = [
     "make_controller",
     "run_closed_loop",
     "EquivalenceReport",
+    "WALKER_CASES",
     "equivalence_check",
 ]
 
@@ -88,7 +89,7 @@ class JumpCase(str, Enum):
         return self.value
 
 
-@dataclass
+@dataclass(slots=True)
 class ControllerState:
     """Controller memory between jumps.
 
@@ -105,6 +106,12 @@ class ControllerState:
     States are treated as immutable: `jump` returns a new state sharing the
     unchanged arrays with its input, and a `HybridArc` holds the loop's
     states, not copies.  `copy` is a deep copy.
+
+    The class is slot-only, so a state has no instance dict.  The
+    constructor, `make_controller` and `copy` convert ``alpha``, ``v`` and
+    ``dirs`` to float64 arrays and ``deltas`` to floats; the jump maps clone
+    a state with `_next`, which assigns every field and skips that
+    conversion.
     """
 
     phi: float
@@ -132,8 +139,6 @@ class ControllerState:
         return len(self.dirs)
 
     def copy(self) -> "ControllerState":
-        # Through __init__: `_next` clones by __dict__.update, and a state
-        # built without it gives every clone a larger, unshared-key dict.
         return replace(self, alpha=self.alpha.copy(), v=self.v.copy(),
                        dirs=[d.copy() for d in self.dirs],
                        deltas=list(self.deltas))
@@ -203,9 +208,24 @@ def classify_jump(xc: ControllerState, y: float) -> JumpCase:
 
 def _next(xc: ControllerState) -> ControllerState:
     """Shallow clone for a jump map to overwrite: a fresh ``deltas`` list,
-    every array shared with ``xc`` (no code mutates one in place)."""
+    every array shared with ``xc`` (no code mutates one in place).
+
+    Assigns each field of `ControllerState` in turn, which is faster than a
+    loop over `dataclasses.fields`; a test checks that every field is copied.
+    """
     new = object.__new__(ControllerState)
-    new.__dict__.update(xc.__dict__)
+    new.phi = xc.phi
+    new.z = xc.z
+    new.lam = xc.lam
+    new.alpha = xc.alpha
+    new.alpha_bar = xc.alpha_bar
+    new.p = xc.p
+    new.m = xc.m
+    new.q = xc.q
+    new.k = xc.k
+    new.v = xc.v
+    new.delta = xc.delta
+    new.dirs = xc.dirs
     new.deltas = list(xc.deltas)
     return new
 
@@ -445,7 +465,8 @@ def run_closed_loop(
     Raises `ConfigError` on invalid configuration or budgets
     (`core.budget_violations`, which also checks ``F``) or dimensions that
     disagree (`core.dimension_violations`: the start, the stored and active
-    directions, the stored steps and ``plant.dimension``); robust mode
+    directions, the stored steps, ``plant.dimension``, and the start's
+    internal state against ``plant.zeta_dimension``); robust mode
     (``phi_min > 0``) additionally requires the initial direction set to
     clear the determinant safeguard.  Raises `ValueError` when the plant
     emits fewer than ``F + 1`` dense rows a period (`ExactPlant` emits one).
@@ -456,7 +477,8 @@ def run_closed_loop(
         validate_config(cfg)
         + budget_violations(stop, flow_samples_per_period=flow_samples_per_period)
         + dimension_violations(xi0.x, xc0.dirs, xc0.deltas, plant.dimension,
-                               active=xc0.v)
+                               active=xc0.v, zeta=xi0.zeta,
+                               zeta_dimension=plant.zeta_dimension)
     )
     if violations:
         raise ConfigError(violations)
@@ -515,13 +537,33 @@ def run_closed_loop(
 
 @dataclass
 class EquivalenceReport:
-    """Outcome of comparing the two routes probe-for-probe."""
+    """Outcome of comparing the two routes probe-for-probe.
+
+    ``ok``, ``first_divergence`` and ``detail`` judge positions only.
+    ``first_case_split`` is the index of the first compared measurement
+    whose jump case differs from the walker record's (`WALKER_CASES`), or
+    None.  The routes can split on acceptance ties once steps reach about
+    1e-13 while their positions still agree.
+    """
 
     ok: bool
     compared: int
     max_abs_error: float
     first_divergence: Optional[int] = None
     detail: str = ""
+    first_case_split: Optional[int] = None
+
+
+# The jump case the controller takes for the measurement a walker log record
+# ``(kind, accepted)`` describes.
+WALKER_CASES: dict[tuple[str, bool], JumpCase] = {
+    ("probe_pos", True): JumpCase.D1,
+    ("probe_pos", False): JumpCase.D2,
+    ("probe_neg", False): JumpCase.D2,
+    ("reanchor", False): JumpCase.D3,
+    ("probe_neg", True): JumpCase.D4,
+    ("close", False): JumpCase.D5,
+}
 
 
 def equivalence_check(
@@ -536,14 +578,20 @@ def equivalence_check(
     j-th record of the discrete route's iterate log, coordinate-wise within
     ``tol``.  Returns an `EquivalenceReport`; ``ok`` is False when the routes
     diverge or fewer than ``min_points`` measurements can be compared.
+    Every report also gives ``first_case_split``.
     """
-    hybrid_points = [arc.plant[i].x for i in arc.jump_rows()]
+    rows = arc.jump_rows()
+    hybrid_points = [arc.plant[i].x for i in rows]
     rsp_points = [r.x for r in rsp_log]
     m = min(len(hybrid_points), len(rsp_points))
+    split = next((i for i, (row, r) in enumerate(zip(rows, rsp_log))
+                  if arc.case[row] is not WALKER_CASES[(r.kind, r.accepted)]),
+                 None)
     if m < min_points:
         return EquivalenceReport(
             ok=False, compared=m, max_abs_error=math.inf,
             detail=f"only {m} comparable measurements (need >= {min_points})",
+            first_case_split=split,
         )
     max_err = 0.0
     for i in range(m):
@@ -553,6 +601,8 @@ def equivalence_check(
                 ok=False, compared=m, max_abs_error=err, first_divergence=i,
                 detail=f"measurement {i}: closed-loop {hybrid_points[i].tolist()} "
                 f"vs discrete {rsp_points[i].tolist()} (|err| = {err:.3e} > {tol})",
+                first_case_split=split,
             )
         max_err = max(max_err, err)
-    return EquivalenceReport(ok=True, compared=m, max_abs_error=max_err)
+    return EquivalenceReport(ok=True, compared=m, max_abs_error=max_err,
+                             first_case_split=split)

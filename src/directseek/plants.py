@@ -9,7 +9,8 @@ dense rows `integrate` can collect; those rows hold the raw flow state
 ``(x..., zeta...)``, and `row_state` turns one into a `PlantState` as
 `integrate` turns the endpoint.  The states the plants return are built
 from float64 arrays the plant made itself, without `PlantState`'s
-conversion step.  Three models are provided:
+conversion step.  Each plant declares the length of its internal state
+``zeta`` as ``zeta_dimension``.  Three models are provided:
 
 - ``PointMassPlant``: velocity-actuated integrator, x' = u.
 - ``DubinsPlant``: planar unicycle (x1' = s cos zeta, x2' = s sin zeta,
@@ -158,6 +159,7 @@ class PointMassPlant:
     """Velocity-actuated point mass, ``x' = u``, any dimension."""
 
     kind = "point_mass"
+    zeta_dimension = 0
 
     def __init__(self, dimension: int = 2, substeps: int = 100):
         if dimension < 1:
@@ -215,6 +217,7 @@ class DubinsPlant:
 
     kind = "dubins"
     dimension = 2
+    zeta_dimension = 1
 
     def __init__(self, v_max: float = 10.0, u_max: float = 20.0, substeps: int = 100):
         if v_max <= 0 or u_max <= 0:
@@ -300,6 +303,7 @@ class ExactPlant:
     """
 
     kind = "exact"
+    zeta_dimension = 0
 
     def __init__(self, dimension: int = 2):
         if dimension < 1:

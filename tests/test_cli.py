@@ -300,6 +300,24 @@ class TestMain:
             "arc.csv", "config.json", "summary.json",
         ]
 
+    @pytest.mark.parametrize("scenario, plant", [
+        ("fig2_rosenbrock_dubins", None),
+        ("fig1_quadratic_pointmass", None),
+        ("fig1_quadratic_pointmass", {"kind": "exact"}),
+    ], ids=["dubins", "point-mass", "exact"])
+    def test_initial_state_matches_the_plant(self, tmp_path, scenario, plant):
+        # The CLI builds the start with the plant's own `initial_state`, so
+        # the internal-state check never rejects it.
+        data = cli.scenario_config(scenario).to_dict()
+        data["stop"] = {"max_jumps": 5}
+        if plant is not None:
+            data["plant"] = plant
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 0
+        assert json.loads((out_dir / "summary.json").read_text())["jumps"] == 5
+
     def test_non_finite_objective_is_a_run_error(self, tmp_path, capsys,
                                                  monkeypatch):
         # inf on x < 0: the first negative probe from 0.25 lands at -0.75.

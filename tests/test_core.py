@@ -370,7 +370,10 @@ class TestDimensionRule:
         assert core.dimension_violations(np.zeros(2), self.AXES, [0.5, 0.5]) == []
         assert core.dimension_violations(
             np.zeros(2), self.AXES, [0.5, 0.5], dimension=2,
-            active=self.AXES[0]) == []
+            active=self.AXES[0], zeta=np.zeros(1), zeta_dimension=1) == []
+        assert core.dimension_violations(
+            np.zeros(2), self.AXES, [0.5, 0.5], zeta=np.zeros(0),
+            zeta_dimension=0) == []
 
     def test_each_disagreement_is_named(self):
         axes, steps = self.AXES, [0.5, 0.5]
@@ -387,4 +390,7 @@ class TestDimensionRule:
         assert core.dimension_violations(
             np.zeros(2), axes, steps, active=np.zeros(3)) == [
             "active direction has shape (3,), expected (2,)"]
+        assert core.dimension_violations(
+            np.zeros(2), axes, steps, zeta=np.zeros(0), zeta_dimension=1) == [
+            "plant internal state has shape (0,), expected (1,)"]
 

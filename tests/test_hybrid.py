@@ -5,6 +5,7 @@ import copy
 import csv
 import io
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -278,6 +279,62 @@ class TestMakeController:
         assert xc.z == 2.0
 
 
+class TestControllerStateSlots:
+    """`ControllerState` is slot-only; `_next` clones it field by field."""
+
+    def test_states_have_no_dict(self):
+        assert not hasattr(controller(), "__dict__")
+        arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 300)
+        assert len(arc.controller) == 301
+        for xc in arc.controller:
+            assert type(xc) is ControllerState
+            assert not hasattr(xc, "__dict__")
+
+    def test_next_copies_every_field(self):
+        # Every field holds its own object, so identity shows which field a
+        # clone took its value from.
+        xc = controller(phi=0.75, z=1.25, lam=-0.5, alpha=np.array([0.1, 0.2]),
+                        alpha_bar=0.3, p=-1, m=1, q=1, k=2,
+                        v=np.array([0.0, 1.0]), delta=0.125)
+        new = hybrid._next(xc)
+        assert type(new) is ControllerState
+        for f in fields(ControllerState):
+            old, cloned = getattr(xc, f.name), getattr(new, f.name)
+            if f.name == "deltas":
+                assert cloned == old and cloned is not old
+            else:
+                assert cloned is old, f.name
+
+    def test_public_construction_converts_its_input(self):
+        def assert_converted(xc):
+            for a in (xc.alpha, xc.v, *xc.dirs):
+                assert type(a) is np.ndarray and a.dtype == np.float64
+            assert all(type(s) is float for s in xc.deltas)
+
+        xc = ControllerState(phi=1, z=0, lam=0, alpha=[0, 0], alpha_bar=0,
+                             p=1, m=0, q=0, k=0, v=[1, 0],
+                             delta=1, dirs=[[1, 0], [0, 1]], deltas=[1, 2])
+        assert_converted(xc)
+        made = make_controller([[1, 0], [0, 1]], [1, 2], phi=1, v=[1, 0],
+                               delta=1, z=0)
+        assert_converted(made)
+        assert all(type(getattr(made, name)) is float
+                   for name in ("phi", "z", "delta"))
+        assert_converted(xc.copy())
+
+    def test_copies_and_replace(self):
+        xc = controller(alpha=np.array([0.1, 0.2]), deltas=[0.25, 0.5])
+        for other in (xc.copy(), copy.deepcopy(xc)):
+            assert other.alpha is not xc.alpha and other.deltas is not xc.deltas
+            assert all(a is not b for a, b in zip(other.dirs, xc.dirs))
+            assert_array_equal(other.alpha, xc.alpha)
+            assert other.deltas == xc.deltas
+            assert (other.phi, other.delta, other.k) == (xc.phi, xc.delta, xc.k)
+        moved = replace(xc, k=1, deltas=[1, 2])
+        assert (moved.k, moved.deltas, xc.k) == (1, [1.0, 2.0], 0)
+        assert moved.v is xc.v
+
+
 def closed_loop(objective, x0, max_jumps, cfg=None, deltas=(0.5, 0.5),
                 phi=0.5, noise=None, **kwargs):
     cfg = cfg or AlgorithmConfig()
@@ -529,6 +586,22 @@ class TestClosedLoop:
         assert info.value.violations == [
             "stop.max_jumps must be a non-negative integer, got -1", expected]
 
+    @pytest.mark.parametrize("plant, zeta, expected", [
+        (plants.DubinsPlant(), [],
+         "plant internal state has shape (0,), expected (1,)"),
+        (plants.DubinsPlant(), [0.1, 0.2],
+         "plant internal state has shape (2,), expected (1,)"),
+        (ExactPlant(), [0.3],
+         "plant internal state has shape (1,), expected (0,)"),
+    ], ids=["dubins-no-heading", "dubins-two-headings", "exact-heading"])
+    def test_rejects_a_wrong_internal_state(self, plant, zeta, expected):
+        with pytest.raises(core.ConfigError) as info:
+            run_closed_loop(plant, core.make_sphere(2),
+                            PlantState(np.ones(2), zeta),
+                            make_controller(AXES, [0.1, 0.1], 0.5),
+                            AlgorithmConfig(), StopRule(max_jumps=3))
+        assert info.value.violations == [expected]
+
     def test_zero_jump_budget_runs(self):
         arc = closed_loop(core.make_sphere(2), [1.0, 1.0], 0)
         assert (len(arc.t), arc.stopped) == (1, "max_jumps")
@@ -680,18 +753,6 @@ def test_write_csv_streams_in_bounded_writes():
     assert "".join(sink.writes) == want.getvalue()
 
 
-# Walker log kinds named by the jump case the controller takes for the same
-# measurement.
-WALKER_CASES = {
-    ("probe_pos", True): JumpCase.D1,
-    ("probe_pos", False): JumpCase.D2,
-    ("probe_neg", False): JumpCase.D2,
-    ("reanchor", False): JumpCase.D3,
-    ("probe_neg", True): JumpCase.D4,
-    ("close", False): JumpCase.D5,
-}
-
-
 def jam(bound):
     return AdversarialJamNoise(bound, grad_bound=10.0, dir_bound=3.0,
                                theta=AlgorithmConfig().theta)
@@ -728,9 +789,7 @@ class TestEquivalence:
         report = equivalence_check(arc, state.iterate_log, tol=1e-9,
                                    min_points=100)
         assert report.ok, report.detail
-        assert [s.case for s in arc.jump_samples()] == [
-            WALKER_CASES[(r.kind, r.accepted)] for r in state.iterate_log
-        ]
+        assert report.first_case_split is None
 
     def test_quadratic_routes_agree(self):
         obj = core.make_aniso_quadratic()
@@ -791,9 +850,7 @@ class TestEquivalence:
         report = equivalence_check(arc, state.iterate_log, tol=1e-9,
                                    min_points=600)
         assert report.ok, report.detail
-        assert [s.case for s in arc.jump_samples()] == [
-            WALKER_CASES[(r.kind, r.accepted)] for r in state.iterate_log
-        ]
+        assert report.first_case_split is None
         assert loop_noise.history == walker_noise.history
         assert len(walker_noise.history) == 600
 
@@ -804,6 +861,65 @@ class TestEquivalence:
 
         assert jam_activation(loop_noise) == jam_activation(walker_noise)
         assert jam_activation(walker_noise) == activation
+
+
+class TestCaseSplit:
+    """`EquivalenceReport.first_case_split` compares jump cases with the
+    walker's records; positions are judged as before."""
+
+    @staticmethod
+    def both_routes(objective, x0, jumps, cfg=None, deltas=1.0, noise=None):
+        n = len(x0)
+        cfg = cfg or AlgorithmConfig()
+        axes = [np.eye(n)[i] for i in range(n)]
+        arc = run_closed_loop(
+            ExactPlant(n), objective, PlantState(np.array(x0, dtype=float)),
+            make_controller(axes, [deltas] * n, 1.0), cfg,
+            StopRule(max_jumps=jumps), noise=noise and noise())
+        state = rsp.run(objective, np.array(x0, dtype=float), cfg,
+                        StopRule(max_evaluations=jumps),
+                        directions=core.DirectionSet(axes, [deltas] * n),
+                        noise=noise and noise())
+        return arc, state.iterate_log
+
+    def test_reports_the_first_mismatched_label(self):
+        arc, log = self.both_routes(core.make_aniso_quadratic(), [1.5, 0.0],
+                                    100)
+        assert equivalence_check(arc, log).first_case_split is None
+        for i in (37, 0):
+            kind = "reanchor" if log[i].kind == "close" else "close"
+            bad = [*log[:i], replace(log[i], kind=kind, accepted=False),
+                   *log[i + 1:]]
+            report = equivalence_check(arc, bad, min_points=100)
+            assert (report.ok, report.first_divergence, report.detail) == (
+                True, None, "")
+            assert report.first_case_split == i
+
+    @pytest.mark.parametrize("objective, x0, jumps, floor", [
+        *[(core.make_random_spd_quadratic(dimension=1, seed=s), [0.0], 200,
+           160) for s in range(5)],
+        (core.make_sphere(2), [1.5, 0.0], 320, 290),
+        (core.make_aniso_quadratic(), [1.5, 0.0], 320, 290),
+    ], ids=[*(f"spd-1d-seed{s}" for s in range(5)), "sphere", "aniso"])
+    def test_nominal_labels_split_only_at_tiny_steps(self, objective, x0,
+                                                     jumps, floor):
+        # Once the steps reach about 1e-13 the routes may take an acceptance
+        # tie differently while positions still agree to 1e-9.
+        arc, log = self.both_routes(objective, x0, jumps)
+        report = equivalence_check(arc, log, tol=1e-9, min_points=jumps)
+        assert report.ok, report.detail
+        assert report.first_case_split is not None
+        assert report.first_case_split >= floor
+
+    def test_noisy_robust_run_has_no_split(self):
+        objective = core.make_random_spd_quadratic(dimension=4, seed=0)
+        arc, log = self.both_routes(
+            objective, [0.0] * 4, 2000,
+            cfg=AlgorithmConfig(lambda_s=0.1, phi_min=0.001), deltas=0.5,
+            noise=lambda: BoundedRandomNoise(1e-6, seed=0))
+        report = equivalence_check(arc, log, tol=1e-9, min_points=2000)
+        assert report.ok, report.detail
+        assert report.first_case_split is None
 
 
 class TestDegenerateStart:

@@ -438,8 +438,7 @@ class TestStateConstruction:
             for a in (state.x, state.zeta):
                 assert type(a) is np.ndarray and a.dtype == np.float64
             assert state.x.shape == (plant.dimension,)
-            n_zeta = 1 if isinstance(plant, DubinsPlant) else 0
-            assert state.zeta.shape == (n_zeta,)
+            assert state.zeta.shape == (plant.zeta_dimension,)
 
     def test_stateless_plants_share_the_read_only_empty_zeta(self):
         shared = PlantState(np.zeros(2)).zeta
