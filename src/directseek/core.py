@@ -500,7 +500,7 @@ def make_sphere(dimension: int = 2) -> ObjectiveFunction:
     """``f(x) = sum(x_i^2)`` with minimizer at the origin."""
 
     def f(x: np.ndarray) -> float:
-        return float(np.dot(x, x))
+        return float(x.dot(x))
 
     def g(x: np.ndarray) -> np.ndarray:
         return 2.0 * np.asarray(x, dtype=float)
@@ -602,7 +602,9 @@ def make_random_spd_quadratic(
 
     def f(x: np.ndarray) -> float:
         r = np.asarray(x, dtype=float) - x_star
-        return float(0.5 * r @ H @ r)
+        # Same left-to-right order and the same BLAS calls (dgemv, ddot) as
+        # ``0.5 * r @ H @ r``, without the matmul ufunc's dispatch.
+        return float((0.5 * r).dot(H).dot(r))
 
     def g(x: np.ndarray) -> np.ndarray:
         return H @ (np.asarray(x, dtype=float) - x_star)

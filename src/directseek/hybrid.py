@@ -454,7 +454,10 @@ def run_closed_loop(
     Each period: steer the plant through ``p * delta * v``, integrate its
     dynamics for exactly ``tau_star``, measure the field once at the period
     boundary (plus noise), classify and apply the jump.  Jump times are exact
-    multiples of the period.  ``flow_samples_per_period = F > 0`` also logs
+    multiples of the period.  One measurement is one jump, so
+    ``stop.max_jumps`` and ``stop.max_evaluations`` both cap the jumps; the
+    arc's ``stopped`` names the lower one (``max_jumps`` on a tie).
+    ``flow_samples_per_period = F > 0`` also logs
     the plant's dense rows ``i * (rows // (F + 1)) - 1``, ``i = 1..F``: with
     evenly spaced rows (point mass) at ``(j + i / (F + 1)) * tau_star`` in
     period ``j``, each as the plant's ``row_state`` of it (the Dubins
@@ -495,12 +498,15 @@ def run_closed_loop(
     arc = HybridArc()
     arc.append(0.0, 0, xi, xc)
     j = 0
+    # One measurement per jump, so both limits cap j; the lower one names
+    # the stop, and the jump limit wins a tie.
     limits = [m for m in (stop.max_jumps, stop.max_evaluations) if m is not None]
     max_jumps = min(limits) if limits else None
+    budget_stop = "max_jumps" if max_jumps == stop.max_jumps else "max_evaluations"
 
     while True:
         if max_jumps is not None and j >= max_jumps:
-            arc.stopped = "max_jumps"
+            arc.stopped = budget_stop
             break
         if stop.phi_threshold is not None and xc.phi < stop.phi_threshold:
             arc.stopped = "phi_threshold"

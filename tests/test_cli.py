@@ -300,6 +300,16 @@ class TestMain:
             "arc.csv", "config.json", "summary.json",
         ]
 
+    def test_summary_names_an_evaluation_budget_stop(self, tmp_path):
+        path = tmp_path / "budget.json"
+        data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()
+        data["stop"] = {"max_evaluations": 25}
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert (summary["jumps"], summary["stopped"]) == (25, "max_evaluations")
+
     @pytest.mark.parametrize("scenario, plant", [
         ("fig2_rosenbrock_dubins", None),
         ("fig1_quadratic_pointmass", None),

@@ -323,6 +323,43 @@ class TestObjectives:
         assert_array_equal(g.hessian(np.zeros(2)), h.hessian(np.zeros(2)))
 
 
+class TestObjectiveKernels:
+    """The quadratic objectives equal their ``@`` / ``np.dot`` forms bit for
+    bit (compared as ``float.hex``, so the sign of zero counts)."""
+
+    @staticmethod
+    def points(centre, rng):
+        yield centre.copy()
+        yield -0.0 * centre
+        for _ in range(3):
+            u = rng.standard_normal(len(centre))
+            u /= np.linalg.norm(u)
+            yield rng.uniform(-2.0, 2.0, len(centre))
+            yield centre + 1e-8 * u
+            yield rng.uniform(0.0, 1e3) * u
+            yield 1e3 * u
+
+    @pytest.mark.parametrize("seed", [0, 3, 1000])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_spd_quadratic_matches_matmul(self, n, seed):
+        f = core.make_random_spd_quadratic(dimension=n, seed=seed)
+        x_star = f.known_minimizers[0]
+        rng = np.random.default_rng(seed)
+        for x in self.points(x_star, rng):
+            r = x - x_star
+            want = float(0.5 * r @ f.hessian(x) @ r)
+            assert f(x).hex() == want.hex()
+            assert f.evaluate(x.tolist()).hex() == want.hex()
+
+    @pytest.mark.parametrize("seed", [0, 3, 1000])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sphere_matches_dot(self, n, seed):
+        f = core.make_sphere(n)
+        rng = np.random.default_rng(seed)
+        for x in self.points(f.known_minimizers[0], rng):
+            assert f(x).hex() == float(np.dot(x, x)).hex()
+
+
 class TestStopRule:
     def test_defaults_are_open_ended(self):
         s = core.StopRule()

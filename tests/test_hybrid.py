@@ -606,6 +606,31 @@ class TestClosedLoop:
         arc = closed_loop(core.make_sphere(2), [1.0, 1.0], 0)
         assert (len(arc.t), arc.stopped) == (1, "max_jumps")
 
+    @pytest.mark.parametrize("limits, jumps, stopped", [
+        (dict(max_evaluations=30), 30, "max_evaluations"),
+        (dict(max_jumps=30), 30, "max_jumps"),
+        (dict(max_jumps=30, max_evaluations=30), 30, "max_jumps"),
+        (dict(max_jumps=40, max_evaluations=30), 30, "max_evaluations"),
+        (dict(max_jumps=20, max_evaluations=30), 20, "max_jumps"),
+    ], ids=["evaluations", "jumps", "tie", "evaluations-lower", "jumps-lower"])
+    def test_stop_names_the_budget_that_fired(self, limits, jumps, stopped):
+        arc = run_closed_loop(ExactPlant(), core.make_sphere(2),
+                              PlantState(np.ones(2)),
+                              make_controller(AXES, [0.1, 0.1], 0.5),
+                              AlgorithmConfig(), StopRule(**limits))
+        assert (arc.j[-1], arc.stopped) == (jumps, stopped)
+
+    def test_evaluation_budget_stops_both_routes_alike(self):
+        stop = StopRule(max_evaluations=30)
+        arc = run_closed_loop(ExactPlant(), core.make_sphere(2),
+                              PlantState(np.ones(2)),
+                              make_controller(AXES, [0.1, 0.1], 0.5),
+                              AlgorithmConfig(), stop)
+        state = rsp.run(core.make_sphere(2), np.ones(2), AlgorithmConfig(),
+                        stop, directions=core.DirectionSet(AXES, [0.1, 0.1]),
+                        phi0=0.5)
+        assert (arc.j[-1], arc.stopped) == (state.evaluations, state.stopped)
+
     def test_phi_threshold_stop(self):
         arc = closed_loop(core.get_objective("constant", dimension=2),
                           [0.0, 0.0], 40, deltas=(1.0, 1.0), phi=1.0)
