@@ -274,10 +274,11 @@ def run_experiment(
 
     Returns the in-memory arc and the summary.  When ``out_dir`` is given the
     directory receives ``arc.csv``, ``config.json``, ``summary.json`` and,
-    for non-zero noise models, ``noise.csv``.  Raises `ConfigError` for an
-    invalid algorithm, a key no part of the run reads, a parameter a builder
-    does not take, or (through `core.budget_violations`) a dense-row count
-    or stop limit of the wrong type or sign.
+    for non-zero noise models, ``noise.csv``.  Raises `ConfigError` for a
+    key no part of the run reads, a missing start key, a parameter a builder
+    does not take, or (through `core.check_run`) an invalid algorithm, a
+    dense-row count or stop limit of the wrong type or sign, or dimensions
+    that disagree.
     """
     try:
         algo = AlgorithmConfig(**config.algorithm)
@@ -288,6 +289,12 @@ def run_experiment(
     objective = _build_objective(config.objective)
     plant = _build_plant(config.plant)
     model = _build_noise(config.noise, config.seed)
+    missing = [f"initial.{k}" for k in ("x", "controller") if k not in config.initial]
+    if "controller" in config.initial:
+        missing += [f"initial.controller.{k}" for k in ("dirs", "deltas", "phi")
+                    if k not in config.initial["controller"]]
+    if missing:
+        raise ConfigError([f"missing start key {k}" for k in missing])
     xc0 = _build_controller(config.initial["controller"])
 
     _reject_unknown(

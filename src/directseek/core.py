@@ -2,10 +2,10 @@
 
 Provides the sufficient-decrease threshold ``rho`` with explicit underflow
 reporting, small dense linear-algebra helpers for direction sets,
-configuration validation, the search rules that the walker (`directseek.rsp`)
-and the controller (`directseek.hybrid`) share -- the slot map, the
-determinant guard and the cycle-close rebuild -- and a registry of benchmark
-objective functions with optional analytic derivatives.
+the rules that the walker (`directseek.rsp`) and the controller
+(`directseek.hybrid`) share -- the run check, the stop rule, the slot map,
+the determinant guard and the cycle-close rebuild -- and a registry of
+benchmark objective functions with optional analytic derivatives.
 """
 from __future__ import annotations
 
@@ -30,10 +30,11 @@ __all__ = [
     "StopRule",
     "budget_violations",
     "dimension_violations",
+    "check_run",
+    "stop_reason",
     "active_slot",
     "passes_determinant_guard",
     "phi_update",
-    "check_robust_start",
     "line_end_step",
     "line_travel",
     "close_cycle",
@@ -231,53 +232,65 @@ class AlgorithmConfig:
     phi_min: float = 0.0
 
 
+# Each algorithm field with the range it must lie in: (rule, holds).
+_RANGES = {
+    "gamma": (">= 1", lambda x: x >= 1),
+    "theta": ("in (0, 1)", lambda x: 0 < x < 1),
+    "mu": ("in (0, 1)", lambda x: 0 < x < 1),
+    "lambda_s": ("in (0, 1)", lambda x: 0 < x < 1),
+    "lambda_t": ("> 1", lambda x: x > 1),
+    "delta_det": ("> 0", lambda x: x > 0),
+    "tau_star": ("> 0", lambda x: x > 0),
+    "phi_min": (">= 0", lambda x: not x < 0),
+}
+
+
 def validate_config(cfg: AlgorithmConfig) -> list[str]:
     """Return a list of human-readable constraint violations (empty if valid).
 
-    Checks: ``gamma >= 1``, ``0 < theta < 1``, ``0 < mu < 1``,
-    ``0 < lambda_s < 1 < lambda_t``, ``mu * lambda_t < 1``,
-    ``delta_det > 0``, ``tau_star > 0``, ``phi_min >= 0``.
+    Each field must be a real number other than a bool, in its `_RANGES`
+    range, and ``mu * lambda_t < 1``; a field that fails one check skips
+    the next.
     """
     v: list[str] = []
-    if not cfg.gamma >= 1:
-        v.append(f"gamma must be >= 1 (got {cfg.gamma})")
-    if not 0 < cfg.theta < 1:
-        v.append(f"theta must be in (0, 1) (got {cfg.theta})")
-    if not 0 < cfg.mu < 1:
-        v.append(f"mu must be in (0, 1) (got {cfg.mu})")
-    if not 0 < cfg.lambda_s < 1:
-        v.append(f"lambda_s must be in (0, 1) (got {cfg.lambda_s})")
-    if not cfg.lambda_t > 1:
-        v.append(f"lambda_t must be > 1 (got {cfg.lambda_t})")
-    if 0 < cfg.mu < 1 and cfg.lambda_t > 1 and not cfg.mu * cfg.lambda_t < 1:
+    in_range = set()
+    for name, (rule, holds) in _RANGES.items():
+        x = getattr(cfg, name)
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            v.append(f"{name} must be a number, got {x!r}")
+        elif not holds(x):
+            v.append(f"{name} must be {rule} (got {x})")
+        else:
+            in_range.add(name)
+    if {"mu", "lambda_t"} <= in_range and not cfg.mu * cfg.lambda_t < 1:
         v.append(
             f"mu * lambda_t must be < 1 (got {cfg.mu} * {cfg.lambda_t} "
             f"= {cfg.mu * cfg.lambda_t})"
         )
-    if not cfg.delta_det > 0:
-        v.append(f"delta_det must be > 0 (got {cfg.delta_det})")
-    if not cfg.tau_star > 0:
-        v.append(f"tau_star must be > 0 (got {cfg.tau_star})")
-    if cfg.phi_min < 0:
-        v.append(f"phi_min must be >= 0 (got {cfg.phi_min})")
     return v
 
 
 @dataclass
 class StopRule:
-    """When to stop a run.  Any subset of limits may be set; the first one
-    hit wins.
+    """When to stop a run, alike on both routes (`stop_reason`).
 
-    ``max_cycles`` counts completed direction cycles (discrete route);
-    ``max_jumps`` counts controller jumps (closed-loop route);
-    ``max_evaluations`` caps objective measurements (both routes);
-    ``phi_threshold`` stops once the frame scale drops below it.
+    ``max_cycles`` counts completed direction cycles; ``max_jumps`` and
+    ``max_evaluations`` both cap the measurements (one measurement is one
+    controller jump); ``phi_threshold`` stops once the frame scale drops
+    below it.
     """
 
     max_cycles: Optional[int] = None
     max_jumps: Optional[int] = None
     max_evaluations: Optional[int] = None
     phi_threshold: Optional[float] = None
+
+    @property
+    def measurement_cap(self) -> Optional[int]:
+        """The lower of ``max_jumps`` and ``max_evaluations``, or None when
+        neither is set."""
+        limits = [m for m in (self.max_jumps, self.max_evaluations) if m is not None]
+        return min(limits) if limits else None
 
 
 def budget_violations(stop: StopRule, **counts) -> list[str]:
@@ -335,6 +348,48 @@ def dimension_violations(
     return v
 
 
+def check_run(
+    cfg: AlgorithmConfig, stop: StopRule, x0, directions: Sequence,
+    steps: Sequence[float], *, dimension: Optional[int] = None, active=None,
+    zeta=None, zeta_dimension: Optional[int] = None, **counts,
+) -> None:
+    """Raise one `ConfigError` listing every way a run's inputs break
+    `validate_config`, `budget_violations` (with ``counts``) and
+    `dimension_violations`, or set no stop limit.  If none do, robust mode
+    (``phi_min > 0``) requires the start directions to clear the
+    determinant guard; a malformed direction set cannot be factored.
+    """
+    v = (validate_config(cfg) + budget_violations(stop, **counts)
+         + dimension_violations(x0, directions, steps, dimension, active,
+                                zeta, zeta_dimension))
+    if all(limit is None for limit in vars(stop).values()):
+        v.append("stop rule has no limits set; the run would never end")
+    if not v and cfg.phi_min > 0.0:
+        det = abs(direction_determinant(directions))
+        if det < cfg.delta_det:
+            v.append("robust mode requires |det(directions)| >= delta_det "
+                     f"(got {det!r} < {cfg.delta_det!r})")
+    if v:
+        raise ConfigError(v)
+
+
+def stop_reason(stop: StopRule, measurements: int, cycles: int, phi: float) -> str:
+    """The first `StopRule` field, in declaration order, whose limit is
+    reached at these counts and ``phi``, or ``""``.  With measurements
+    capped at `StopRule.measurement_cap`, the lower budget names a budget
+    stop, and ``max_jumps`` wins a tie.
+    """
+    if stop.max_cycles is not None and cycles >= stop.max_cycles:
+        return "max_cycles"
+    if stop.max_jumps is not None and measurements >= stop.max_jumps:
+        return "max_jumps"
+    if stop.max_evaluations is not None and measurements >= stop.max_evaluations:
+        return "max_evaluations"
+    if stop.phi_threshold is not None and phi < stop.phi_threshold:
+        return "phi_threshold"
+    return ""
+
+
 # ---------------------------------------------------------------------------
 # Search rules shared by the walker and the controller
 # ---------------------------------------------------------------------------
@@ -379,20 +434,6 @@ def phi_update(
     if passes_determinant_guard(trailing_dirs, candidate, delta_det):
         return candidate
     return np.asarray(d0, dtype=float).copy()
-
-
-def check_robust_start(directions, cfg: AlgorithmConfig) -> None:
-    """Robust mode (``phi_min > 0``) needs a starting direction set that
-    clears the determinant guard; raises `ConfigError` otherwise."""
-    if cfg.phi_min > 0.0:
-        det = abs(direction_determinant(directions))
-        if det < cfg.delta_det:
-            raise ConfigError(
-                [
-                    "robust mode requires |det(directions)| >= delta_det "
-                    f"(got {det!r} < {cfg.delta_det!r})"
-                ]
-            )
 
 
 def line_end_step(lam: float, step: float, phi: float, cfg: AlgorithmConfig) -> float:

@@ -19,9 +19,10 @@ very first positive probe fails (a successful positive run arrives from the
 negative side already).
 
 The line-search traversal here is written independently of `directseek.rsp`;
-both routes take the slot map, the determinant guard, the travel meter and
-the cycle-close rebuild from `directseek.core`.  `equivalence_check`
-verifies the two routes measure the field at identical points.
+both routes take the run check, the stop rule, the slot map, the
+determinant guard, the travel meter and the cycle-close rebuild from
+`directseek.core`.  `equivalence_check` verifies the two routes measure
+the field at identical points.
 
 A run is logged as a `HybridArc`: parallel columns, one row per logged
 hybrid time ``(t, j)``, sharing the loop's never-mutated states.  Its views
@@ -39,19 +40,16 @@ import numpy as np
 
 from .core import (
     AlgorithmConfig,
-    ConfigError,
     EvaluationError,
     StopRule,
     active_slot,
-    budget_violations,
-    check_robust_start,
+    check_run,
     close_cycle,
-    dimension_violations,
     line_end_step,
     line_travel,
     phi_update,
     rho,
-    validate_config,
+    stop_reason,
 )
 from .plants import PlantState
 
@@ -454,9 +452,11 @@ def run_closed_loop(
     Each period: steer the plant through ``p * delta * v``, integrate its
     dynamics for exactly ``tau_star``, measure the field once at the period
     boundary (plus noise), classify and apply the jump.  Jump times are exact
-    multiples of the period.  One measurement is one jump, so
-    ``stop.max_jumps`` and ``stop.max_evaluations`` both cap the jumps; the
-    arc's ``stopped`` names the lower one (``max_jumps`` on a tie).
+    multiples of the period.  One measurement is one jump, so the loop makes
+    at most ``stop.measurement_cap`` jumps, and it counts a cycle at each
+    cycle-closing D5.  It checks `core.stop_reason` before the first jump,
+    after each cycle close (the only jumps that move ``phi``) and at the
+    cap, and the arc's ``stopped`` names the stop, as the walker's does.
     ``flow_samples_per_period = F > 0`` also logs
     the plant's dense rows ``i * (rows // (F + 1)) - 1``, ``i = 1..F``: with
     evenly spaced rows (point mass) at ``(j + i / (F + 1)) * tau_star`` in
@@ -465,53 +465,28 @@ def run_closed_loop(
     columns; rows share the loop's states, and ``xi0``/``xc0`` are copied
     once on entry.
 
-    Raises `ConfigError` on invalid configuration or budgets
-    (`core.budget_violations`, which also checks ``F``) or dimensions that
-    disagree (`core.dimension_violations`: the start, the stored and active
-    directions, the stored steps, ``plant.dimension``, and the start's
-    internal state against ``plant.zeta_dimension``); robust mode
-    (``phi_min > 0``) additionally requires the initial direction set to
-    clear the determinant safeguard.  Raises `ValueError` when the plant
-    emits fewer than ``F + 1`` dense rows a period (`ExactPlant` emits one).
-    Raises `EvaluationError` when a measurement (objective value plus
-    noise) is non-finite, as the walker does.
+    Raises `core.ConfigError` on inputs that break `core.check_run`, as
+    `rsp.run` does; its budgets include ``F``, and its dimensions the stored
+    and active directions, ``plant.dimension`` and the start's internal
+    state against ``plant.zeta_dimension``.  Raises `ValueError` when the
+    plant emits fewer than ``F + 1`` dense rows a period (`ExactPlant`
+    emits one).  Raises `EvaluationError` when a measurement (objective
+    value plus noise) is non-finite, as the walker does.
     """
-    violations = (
-        validate_config(cfg)
-        + budget_violations(stop, flow_samples_per_period=flow_samples_per_period)
-        + dimension_violations(xi0.x, xc0.dirs, xc0.deltas, plant.dimension,
-                               active=xc0.v, zeta=xi0.zeta,
-                               zeta_dimension=plant.zeta_dimension)
-    )
-    if violations:
-        raise ConfigError(violations)
-    if (
-        stop.max_jumps is None
-        and stop.max_evaluations is None
-        and stop.phi_threshold is None
-    ):
-        raise ValueError("stop rule has no limits set; the run would never end")
-    check_robust_start(xc0.dirs, cfg)
+    check_run(cfg, stop, xi0.x, xc0.dirs, xc0.deltas, dimension=plant.dimension,
+              active=xc0.v, zeta=xi0.zeta, zeta_dimension=plant.zeta_dimension,
+              flow_samples_per_period=flow_samples_per_period)
 
     xi = xi0.copy()
     xc = xc0.copy()
     arc = HybridArc()
     arc.append(0.0, 0, xi, xc)
-    j = 0
-    # One measurement per jump, so both limits cap j; the lower one names
-    # the stop, and the jump limit wins a tie.
-    limits = [m for m in (stop.max_jumps, stop.max_evaluations) if m is not None]
-    max_jumps = min(limits) if limits else None
-    budget_stop = "max_jumps" if max_jumps == stop.max_jumps else "max_evaluations"
+    j = cycles = 0
+    cap = stop.measurement_cap
+    d5 = JumpCase.D5  # read on every jump; a local is cheaper than the class
+    stopped = stop_reason(stop, 0, 0, xc.phi)
 
-    while True:
-        if max_jumps is not None and j >= max_jumps:
-            arc.stopped = budget_stop
-            break
-        if stop.phi_threshold is not None and xc.phi < stop.phi_threshold:
-            arc.stopped = "phi_threshold"
-            break
-
+    while not stopped:
         target = (xc.p * xc.delta) * xc.v
         schedule, _predicted = plant.steer(xi, target, cfg.tau_star)
         collect: Optional[list] = [] if flow_samples_per_period > 0 else None
@@ -538,6 +513,12 @@ def run_closed_loop(
         case = classify_jump(xc, y)
         xc = jump(xc, y, cfg, case=case)
         arc.append(j * cfg.tau_star, j, xi, xc, y, case)
+        if case is d5 and xc.k == 0:
+            cycles += 1
+        elif j != cap:
+            continue
+        stopped = stop_reason(stop, j, cycles, xc.phi)
+    arc.stopped = stopped
     return arc
 
 

@@ -28,20 +28,17 @@ import numpy as np
 
 from .core import (
     AlgorithmConfig,
-    ConfigError,
     DirectionSet,
     EvaluationError,
     StopRule,
     active_slot,
-    budget_violations,
-    check_robust_start,
+    check_run,
     close_cycle,
-    dimension_violations,
     line_end_step,
     line_travel,
     passes_determinant_guard,
     rho,
-    validate_config,
+    stop_reason,
 )
 
 __all__ = [
@@ -113,20 +110,20 @@ class RspState:
 
 
 class _BudgetExhausted(Exception):
-    """Internal: the measurement budget ran out mid-stride."""
+    """Internal: the measurement cap was reached mid-stride."""
 
 
 class _Meter:
-    """Counts objective measurements, applies noise, enforces the budget."""
+    """Counts objective measurements, applies noise, enforces the cap."""
 
-    def __init__(self, objective, noise=None, max_evaluations: Optional[int] = None):
+    def __init__(self, objective, noise=None, cap: Optional[int] = None):
         self.objective = objective
         self.noise = noise
-        self.max_evaluations = max_evaluations
+        self.cap = cap
         self.count = 0
 
     def measure(self, x: np.ndarray, delta: float, direction: np.ndarray) -> float:
-        if self.max_evaluations is not None and self.count >= self.max_evaluations:
+        if self.cap is not None and self.count >= self.cap:
             raise _BudgetExhausted
         self.count += 1
         y = float(self.objective(x))
@@ -230,13 +227,13 @@ class _Walker:
         state: RspState,
         cfg: AlgorithmConfig,
         noise=None,
-        max_evaluations: Optional[int] = None,
+        cap: Optional[int] = None,
     ):
         self.cfg = cfg
         self.st = state
         # Log records share the iterate arrays, so none may alias the caller's.
         state.x = state.x.copy()
-        self.meter = _Meter(objective, noise, max_evaluations)
+        self.meter = _Meter(objective, noise, cap)
 
     # -- one line minimization at the current counter ----------------------
 
@@ -288,19 +285,15 @@ class _Walker:
         st.k = 0
         st.cycles += 1
 
-    def run_cycle(self) -> bool:
-        """The ``n + 1`` line minimizations of one cycle, through its close.
-        Returns False, with ``stopped`` set, when the measurement budget ran
-        out."""
+    def run_cycle(self) -> None:
+        """The ``n + 1`` line minimizations of one cycle, through its close,
+        or up to the measurement cap."""
         st = self.st
         try:
             for _ in range(st.dimension + 1):
                 self.run_slot()
         except _BudgetExhausted:
-            st.stopped = "max_evaluations"
             st.evaluations = self.meter.count
-            return False
-        return True
 
 
 def run(
@@ -317,12 +310,11 @@ def run(
 
     ``directions`` defaults to the coordinate axes with unit steps;
     ``z0`` initializes the incumbent measurement (the walker never measures
-    the start point before its first probe).  Raises `ConfigError` on an
-    invalid configuration or budget (`core.budget_violations`), on a start
-    and directions whose dimensions disagree (`core.dimension_violations`),
-    or in robust mode (``phi_min > 0``) on a start direction set that fails
-    the determinant guard (`core.check_robust_start`);
-    `hybrid.run_closed_loop` applies these rules too.
+    the start point before its first probe).  Raises `core.ConfigError` on
+    inputs that break `core.check_run`, as `hybrid.run_closed_loop` does.
+    The walk makes at most ``stop.measurement_cap`` measurements and checks
+    `core.stop_reason` at each cycle boundary; it names the stop in
+    ``stopped``.
     """
     x0 = np.asarray(x0, dtype=float)
     if directions is None:
@@ -330,39 +322,15 @@ def run(
         directions = DirectionSet(
             [np.eye(n)[i] for i in range(n)], [1.0] * n
         )
-    violations = (
-        validate_config(cfg)
-        + budget_violations(stop)
-        + dimension_violations(x0, directions.directions, directions.step_sizes)
-    )
-    if violations:
-        raise ConfigError(violations)
-    if (
-        stop.max_cycles is None
-        and stop.phi_threshold is None
-        and stop.max_evaluations is None
-    ):
-        raise ValueError("stop rule has no limits set; the run would never end")
-    check_robust_start(directions, cfg)
+    check_run(cfg, stop, x0, directions.directions, directions.step_sizes)
     state = RspState(
         x=x0, directions=directions.copy(), phi=float(phi0), z=float(z0)
     )
-    walker = _Walker(objective, state, cfg, noise, stop.max_evaluations)
-    while True:
-        if stop.max_cycles is not None and state.cycles >= stop.max_cycles:
-            state.stopped = "max_cycles"
-            break
-        if stop.phi_threshold is not None and state.phi < stop.phi_threshold:
-            state.stopped = "phi_threshold"
-            break
-        if (
-            stop.max_evaluations is not None
-            and state.evaluations >= stop.max_evaluations
-        ):
-            state.stopped = "max_evaluations"
-            break
-        if not walker.run_cycle():
-            break
+    walker = _Walker(objective, state, cfg, noise, stop.measurement_cap)
+    while not (reason := stop_reason(stop, state.evaluations, state.cycles,
+                                     state.phi)):
+        walker.run_cycle()
+    state.stopped = reason
     return state
 
 

@@ -247,8 +247,9 @@ class TestMain:
         ("stop", {"max_jumps": -3}, "stop.max_jumps"),
         ("stop", {"max_jumps": 40, "phi_threshold": "1e-6"},
          "stop.phi_threshold"),
+        ("algorithm", {"gamma": "1.2"}, "gamma must be a number, got '1.2'"),
     ], ids=["samples-str", "samples-float", "samples-negative",
-            "max-jumps-negative", "threshold-str"])
+            "max-jumps-negative", "threshold-str", "gamma-str"])
     def test_bad_run_shape_is_a_usage_error(self, tmp_path, capsys, key,
                                             value, field):
         data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()
@@ -287,6 +288,32 @@ class TestMain:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
         assert expected in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("keys, expected", [
+        (["x"], ["initial.x"]),
+        (["controller"], ["initial.controller"]),
+        (["x", "controller.dirs", "controller.phi"],
+         ["initial.x", "initial.controller.dirs", "initial.controller.phi"]),
+        (["controller.deltas"], ["initial.controller.deltas"]),
+    ], ids=["x", "controller", "x-dirs-phi", "deltas"])
+    def test_missing_start_keys_are_a_usage_error(self, tmp_path, capsys,
+                                                  keys, expected):
+        data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()
+        for key in keys:
+            *parents, last = key.split(".")
+            section = data["initial"]
+            for parent in parents:
+                section = section[parent]
+            del section[last]
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert [line.strip() for line in err.splitlines()[1:]] == [
+            f"- missing start key {k}" for k in expected]
         assert not out_dir.exists()
 
     def test_config_file_runs(self, tmp_path, capsys):

@@ -209,6 +209,19 @@ class TestConfigValidation:
         assert core.validate_config(core.AlgorithmConfig(phi_min=-0.1))
         assert core.validate_config(core.AlgorithmConfig(phi_min=0.5)) == []
 
+    @pytest.mark.parametrize("value", ["1.2", True, None],
+                             ids=["str", "bool", "none"])
+    def test_non_numbers_are_named_and_skip_their_ranges(self, value):
+        v = core.validate_config(core.AlgorithmConfig(gamma=value, mu=value,
+                                                      theta=1.0))
+        assert v == [f"gamma must be a number, got {value!r}",
+                     "theta must be in (0, 1) (got 1.0)",
+                     f"mu must be a number, got {value!r}"]
+
+    def test_numpy_scalars_are_numbers(self):
+        cfg = core.AlgorithmConfig(gamma=np.float64(1.2), mu=np.int64(0))
+        assert core.validate_config(cfg) == ["mu must be in (0, 1) (got 0)"]
+
     def test_config_error_carries_violations(self):
         err = core.ConfigError(["a must hold", "b must hold"])
         assert err.violations == ["a must hold", "b must hold"]
@@ -431,3 +444,87 @@ class TestDimensionRule:
             np.zeros(2), axes, steps, zeta=np.zeros(0), zeta_dimension=1) == [
             "plant internal state has shape (0,), expected (1,)"]
 
+
+
+class TestRunCheck:
+    AXES = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    FLAT = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]  # |det| = 0
+
+    def check(self, cfg=None, stop=None, dirs=None, **kwargs):
+        dirs = self.AXES if dirs is None else dirs
+        with pytest.raises(core.ConfigError) as info:
+            core.check_run(cfg or core.AlgorithmConfig(),
+                           stop or core.StopRule(max_cycles=1), np.zeros(2),
+                           dirs, [0.5, 0.5], **kwargs)
+        return info.value.violations
+
+    def test_a_valid_run_passes(self):
+        core.check_run(core.AlgorithmConfig(phi_min=0.1),
+                       core.StopRule(max_jumps=0), np.zeros(2), self.AXES,
+                       [0.5, 0.5], dimension=2, active=self.AXES[1],
+                       zeta=np.zeros(0), zeta_dimension=0,
+                       flow_samples_per_period=3)
+
+    def test_no_limits_and_a_bad_config_raise_once(self):
+        assert self.check(core.AlgorithmConfig(theta=1.0), core.StopRule()) == [
+            "theta must be in (0, 1) (got 1.0)",
+            "stop rule has no limits set; the run would never end"]
+
+    def test_no_limits_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no limits"):
+            core.check_run(core.AlgorithmConfig(), core.StopRule(), np.zeros(2),
+                           self.AXES, [0.5, 0.5])
+
+    def test_every_rule_is_listed(self):
+        assert self.check(core.AlgorithmConfig(gamma="1.2"),
+                          core.StopRule(max_jumps=-1), dimension=3,
+                          flow_samples_per_period=1.5) == [
+            "gamma must be a number, got '1.2'",
+            "stop.max_jumps must be a non-negative integer, got -1",
+            "flow_samples_per_period must be a non-negative integer, got 1.5",
+            "plant dimension 3 differs from 2 directions"]
+
+    def test_robust_start_text(self):
+        assert self.check(core.AlgorithmConfig(phi_min=0.1), dirs=self.FLAT) == [
+            "robust mode requires |det(directions)| >= delta_det "
+            "(got 0.0 < 0.001)"]
+
+    def test_robust_start_needs_every_other_rule_to_pass(self):
+        # A malformed direction set cannot be factored, so the determinant
+        # rule waits for the others.
+        cfg = core.AlgorithmConfig(phi_min=0.1)
+        assert self.check(cfg, dirs=[self.FLAT[0], np.ones(3)]) == [
+            "direction 1 has shape (3,), expected (2,)"]
+        assert self.check(cfg, core.StopRule(), dirs=self.FLAT) == [
+            "stop rule has no limits set; the run would never end"]
+
+    def test_nominal_mode_skips_the_determinant(self):
+        core.check_run(core.AlgorithmConfig(), core.StopRule(max_cycles=1),
+                       np.zeros(2), self.FLAT, [0.5, 0.5])
+
+
+class TestStopReason:
+    ALL = core.StopRule(max_cycles=2, max_jumps=10, max_evaluations=10,
+                        phi_threshold=0.5)
+
+    @pytest.mark.parametrize("measurements, cycles, phi, expected", [
+        (10, 2, 0.1, "max_cycles"),
+        (10, 1, 0.1, "max_jumps"),
+        (9, 1, 0.1, "phi_threshold"),
+        (9, 1, 0.5, ""),
+        (0, 0, 1.0, ""),
+    ], ids=["all-at-once", "budgets-tie", "phi", "phi-at-threshold", "none"])
+    def test_declaration_order(self, measurements, cycles, phi, expected):
+        assert core.stop_reason(self.ALL, measurements, cycles, phi) == expected
+
+    def test_the_lower_budget_names_the_stop(self):
+        stop = core.StopRule(max_jumps=12, max_evaluations=10)
+        assert stop.measurement_cap == 10
+        assert core.stop_reason(stop, 10, 0, 1.0) == "max_evaluations"
+        stop = core.StopRule(max_jumps=10, max_evaluations=12)
+        assert stop.measurement_cap == 10
+        assert core.stop_reason(stop, 10, 0, 1.0) == "max_jumps"
+
+    def test_cap_is_none_without_a_budget(self):
+        assert core.StopRule(max_cycles=3, phi_threshold=0.1).measurement_cap is None
+        assert core.StopRule(max_evaluations=0).measurement_cap == 0

@@ -620,16 +620,36 @@ class TestClosedLoop:
                               AlgorithmConfig(), StopRule(**limits))
         assert (arc.j[-1], arc.stopped) == (jumps, stopped)
 
-    def test_evaluation_budget_stops_both_routes_alike(self):
-        stop = StopRule(max_evaluations=30)
+    @pytest.mark.parametrize("limits, measurements, stopped", [
+        (dict(max_evaluations=30), 30, "max_evaluations"),
+        (dict(max_evaluations=26, phi_threshold=0.5), 26, "max_evaluations"),
+        (dict(max_jumps=30, max_cycles=2), 26, "max_cycles"),
+        (dict(max_jumps=10, phi_threshold=1e-3), 10, "max_jumps"),
+        (dict(max_cycles=2), 26, "max_cycles"),
+        (dict(max_jumps=30), 30, "max_jumps"),
+        (dict(max_jumps=30, phi_threshold=2.0), 0, "phi_threshold"),
+        (dict(max_cycles=2, max_evaluations=26), 26, "max_cycles"),
+    ], ids=["evaluations", "budget-and-phi-at-once", "cycles-before-jumps",
+            "jumps-cap-the-walker", "cycles-alone", "jumps-alone",
+            "phi-below-at-start", "cycles-budget-tie"])
+    def test_stop_rule_means_the_same_on_both_routes(self, limits,
+                                                     measurements, stopped):
+        # Two cycles from (1.5, 0.5) take 26 measurements, and the second
+        # one brings phi from 1 to mu = 0.15.
+        stop = StopRule(**limits)
+        x0 = np.array([1.5, 0.5])
         arc = run_closed_loop(ExactPlant(), core.make_sphere(2),
-                              PlantState(np.ones(2)),
-                              make_controller(AXES, [0.1, 0.1], 0.5),
+                              PlantState(x0.copy()),
+                              make_controller(AXES, [1.0, 1.0], 1.0),
                               AlgorithmConfig(), stop)
-        state = rsp.run(core.make_sphere(2), np.ones(2), AlgorithmConfig(),
-                        stop, directions=core.DirectionSet(AXES, [0.1, 0.1]),
-                        phi0=0.5)
-        assert (arc.j[-1], arc.stopped) == (state.evaluations, state.stopped)
+        state = rsp.run(core.make_sphere(2), x0, AlgorithmConfig(), stop,
+                        directions=core.DirectionSet(AXES, [1.0, 1.0]),
+                        phi0=1.0)
+        assert (arc.j[-1], arc.stopped) == (measurements, stopped)
+        assert (state.evaluations, state.stopped) == (measurements, stopped)
+        report = equivalence_check(arc, state.iterate_log,
+                                   min_points=measurements)
+        assert report.ok, report.detail
 
     def test_phi_threshold_stop(self):
         arc = closed_loop(core.get_objective("constant", dimension=2),
@@ -948,8 +968,8 @@ class TestCaseSplit:
 
 
 class TestDegenerateStart:
-    """`core.check_robust_start` is the one degenerate-start rule of both
-    routes: reject in robust mode, run otherwise."""
+    """The determinant rule of `core.check_run` is the one degenerate-start
+    rule of both routes: reject in robust mode, run otherwise."""
 
     X0 = np.array([1.5, 0.5])
     DIRS = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]  # |det| = 0
