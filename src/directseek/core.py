@@ -30,6 +30,7 @@ __all__ = [
     "StopRule",
     "budget_violations",
     "dimension_violations",
+    "scale_violations",
     "check_run",
     "stop_reason",
     "active_slot",
@@ -248,9 +249,9 @@ _RANGES = {
 def validate_config(cfg: AlgorithmConfig) -> list[str]:
     """Return a list of human-readable constraint violations (empty if valid).
 
-    Each field must be a real number other than a bool, in its `_RANGES`
-    range, and ``mu * lambda_t < 1``; a field that fails one check skips
-    the next.
+    Each field must be a finite real number other than a bool, in its
+    `_RANGES` range, and ``mu * lambda_t < 1``; a field that fails one
+    check skips the next.
     """
     v: list[str] = []
     in_range = set()
@@ -258,6 +259,8 @@ def validate_config(cfg: AlgorithmConfig) -> list[str]:
         x = getattr(cfg, name)
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
             v.append(f"{name} must be a number, got {x!r}")
+        elif not math.isfinite(x):
+            v.append(f"{name} must be finite (got {x})")
         elif not holds(x):
             v.append(f"{name} must be {rule} (got {x})")
         else:
@@ -348,20 +351,41 @@ def dimension_violations(
     return v
 
 
+def scale_violations(
+    phi: Optional[float] = None, steps: Sequence[float] = (),
+    active_step: Optional[float] = None,
+) -> list[str]:
+    """Return the violations of a run's start scales (empty if valid).
+
+    A given start frame scale ``phi``, every stored step and a given
+    ``active_step`` must be finite numbers >= 0.  Zero is legal: a zero
+    frame stalls the run at its start point.
+    """
+    named = [("start phi", phi)]
+    named += [(f"stored step {i}", s) for i, s in enumerate(steps)]
+    named.append(("active step", active_step))
+    return [f"{name} must be a finite number >= 0, got {x!r}"
+            for name, x in named if x is not None
+            and not (isinstance(x, numbers.Real) and 0 <= x < math.inf)]
+
+
 def check_run(
     cfg: AlgorithmConfig, stop: StopRule, x0, directions: Sequence,
-    steps: Sequence[float], *, dimension: Optional[int] = None, active=None,
-    zeta=None, zeta_dimension: Optional[int] = None, **counts,
+    steps: Sequence[float], *, phi: Optional[float] = None,
+    active_step: Optional[float] = None, dimension: Optional[int] = None,
+    active=None, zeta=None, zeta_dimension: Optional[int] = None, **counts,
 ) -> None:
     """Raise one `ConfigError` listing every way a run's inputs break
-    `validate_config`, `budget_violations` (with ``counts``) and
-    `dimension_violations`, or set no stop limit.  If none do, robust mode
+    `validate_config`, `budget_violations` (with ``counts``),
+    `dimension_violations` and `scale_violations` (with the start ``phi``
+    and ``active_step``), or set no stop limit.  If none do, robust mode
     (``phi_min > 0``) requires the start directions to clear the
     determinant guard; a malformed direction set cannot be factored.
     """
     v = (validate_config(cfg) + budget_violations(stop, **counts)
          + dimension_violations(x0, directions, steps, dimension, active,
-                                zeta, zeta_dimension))
+                                zeta, zeta_dimension)
+         + scale_violations(phi, steps, active_step))
     if all(limit is None for limit in vars(stop).values()):
         v.append("stop rule has no limits set; the run would never end")
     if not v and cfg.phi_min > 0.0:
@@ -642,7 +666,7 @@ def make_random_spd_quadratic(
     x_star = rng.uniform(-2.0, 2.0, size=dimension)
 
     def f(x: np.ndarray) -> float:
-        r = np.asarray(x, dtype=float) - x_star
+        r = x - x_star
         # Same left-to-right order and the same BLAS calls (dgemv, ddot) as
         # ``0.5 * r @ H @ r``, without the matmul ufunc's dispatch.
         return float((0.5 * r).dot(H).dot(r))

@@ -25,8 +25,9 @@ determinant guard, the travel meter and the cycle-close rebuild from
 the field at identical points.
 
 A run is logged as a `HybridArc`: parallel columns, one row per logged
-hybrid time ``(t, j)``, sharing the loop's never-mutated states.  Its views
-build `ArcSample` rows on demand.
+hybrid time ``(t, j)``, sharing the loop's never-mutated states, and a
+re-measure that lands bitwise on the point two jumps back shares its state
+or ``x`` array.  Its views build `ArcSample` rows on demand.
 """
 from __future__ import annotations
 
@@ -343,7 +344,9 @@ class HybridArc:
     intra-period rows and one row per jump (``case``/``measured`` are None
     except on jump rows).  ``plant``/``controller`` hold the loop's
     never-mutated states: a jump row and the next period's intra-period rows
-    share one controller state.  `samples` and `jump_samples` are views that
+    share one controller state, and a jump row whose ``x`` is bitwise the
+    one two jumps back holds that row's ``x`` array (its state, if ``zeta``
+    matches too).  `samples` and `jump_samples` are views that
     build `ArcSample` rows on each call; the last row is ``plant[-1]``,
     ``controller[-1]``.
     """
@@ -384,7 +387,8 @@ class HybridArc:
         Floats are emitted with ``repr`` (the shortest round-trip form) so
         equal runs produce byte-identical files; a `JumpCase` is written as
         its value and None as an empty field, with no quoting.  Rows are
-        built lazily from the columns and written `CHUNK_ROWS` at a time.
+        built lazily from the columns, reusing the strings of values that
+        recent rows logged, and written `CHUNK_ROWS` at a time.
         """
         n = self.plant[0].x.shape[0] if self.plant else 0
         header = ["t", "j", "case", *(f"x{i}" for i in range(n)),
@@ -395,9 +399,20 @@ class HybridArc:
             map(repr, map(float, self.t)),
             self.j,
             ("" if c is None else c.value for c in self.case),
-            (",".join(map(repr, xi.x.tolist())) for xi in self.plant),
+            _positions(self.plant),
             _measured_tail(self.measured, self.controller),
         ))
+
+
+def _positions(plant):
+    """Yield each row's ``x0..x{n-1}`` fields; a row whose ``x`` is the
+    array of the row two back reuses that row's string."""
+    x1 = x2 = None
+    s1 = s2 = ""
+    for xi in plant:
+        s = s2 if xi.x is x2 else ",".join(map(repr, xi.x.tolist()))
+        x2, s2, x1, s1 = x1, s1, xi.x, s
+        yield s
 
 
 def _measured_tail(measured, controller):
@@ -463,24 +478,30 @@ def run_closed_loop(
     period ``j``, each as the plant's ``row_state`` of it (the Dubins
     heading wrapped as at a jump).  Each row is appended to the arc's
     columns; rows share the loop's states, and ``xi0``/``xc0`` are copied
-    once on entry.
+    once on entry.  A re-measure (D3, D5) whose ``x`` is bitwise the one
+    logged two jumps back logs that state again, or, under a new heading,
+    a state sharing its ``x`` array.
 
     Raises `core.ConfigError` on inputs that break `core.check_run`, as
-    `rsp.run` does; its budgets include ``F``, and its dimensions the stored
+    `rsp.run` does; its budgets include ``F``, its scales the start ``phi``,
+    the stored steps and the opening ``delta``, and its dimensions the stored
     and active directions, ``plant.dimension`` and the start's internal
     state against ``plant.zeta_dimension``.  Raises `ValueError` when the
     plant emits fewer than ``F + 1`` dense rows a period (`ExactPlant`
     emits one).  Raises `EvaluationError` when a measurement (objective
     value plus noise) is non-finite, as the walker does.
     """
-    check_run(cfg, stop, xi0.x, xc0.dirs, xc0.deltas, dimension=plant.dimension,
-              active=xc0.v, zeta=xi0.zeta, zeta_dimension=plant.zeta_dimension,
+    check_run(cfg, stop, xi0.x, xc0.dirs, xc0.deltas, phi=xc0.phi,
+              active_step=xc0.delta, dimension=plant.dimension, active=xc0.v,
+              zeta=xi0.zeta, zeta_dimension=plant.zeta_dimension,
               flow_samples_per_period=flow_samples_per_period)
 
     xi = xi0.copy()
     xc = xc0.copy()
     arc = HybridArc()
     arc.append(0.0, 0, xi, xc)
+    # x bytes of the states logged one and two jumps back, and the latter.
+    key1, key2, back2 = xi.x.tobytes(), None, None
     j = cycles = 0
     cap = stop.measurement_cap
     d5 = JumpCase.D5  # read on every jump; a local is cheaper than the class
@@ -490,7 +511,13 @@ def run_closed_loop(
         target = (xc.p * xc.delta) * xc.v
         schedule, _predicted = plant.steer(xi, target, cfg.tau_star)
         collect: Optional[list] = [] if flow_samples_per_period > 0 else None
+        last = xi
         xi = plant.integrate(xi, schedule, cfg.tau_star, collect)
+        key = xi.x.tobytes()
+        if key == key2:  # a re-measure landed on the point two jumps back
+            xi = (back2 if xi.zeta.tobytes() == back2.zeta.tobytes()
+                  else PlantState(back2.x, xi.zeta))
+        back2, key2, key1 = last, key1, key
         if collect is not None:
             stride = len(collect) // (flow_samples_per_period + 1)
             if stride == 0:

@@ -322,7 +322,8 @@ def run(
         directions = DirectionSet(
             [np.eye(n)[i] for i in range(n)], [1.0] * n
         )
-    check_run(cfg, stop, x0, directions.directions, directions.step_sizes)
+    check_run(cfg, stop, x0, directions.directions, directions.step_sizes,
+              phi=phi0)
     state = RspState(
         x=x0, directions=directions.copy(), phi=float(phi0), z=float(z0)
     )

@@ -248,8 +248,10 @@ class TestMain:
         ("stop", {"max_jumps": 40, "phi_threshold": "1e-6"},
          "stop.phi_threshold"),
         ("algorithm", {"gamma": "1.2"}, "gamma must be a number, got '1.2'"),
+        ("algorithm", {"tau_star": math.inf}, "tau_star must be finite"),
     ], ids=["samples-str", "samples-float", "samples-negative",
-            "max-jumps-negative", "threshold-str", "gamma-str"])
+            "max-jumps-negative", "threshold-str", "gamma-str",
+            "tau-star-inf"])
     def test_bad_run_shape_is_a_usage_error(self, tmp_path, capsys, key,
                                             value, field):
         data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()

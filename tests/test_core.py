@@ -218,6 +218,15 @@ class TestConfigValidation:
                      "theta must be in (0, 1) (got 1.0)",
                      f"mu must be a number, got {value!r}"]
 
+    @pytest.mark.parametrize("name, value", [
+        ("phi_min", math.nan), ("tau_star", math.inf), ("delta_det", math.inf),
+        ("gamma", -math.inf), ("mu", math.nan),
+    ])
+    def test_non_finite_fields_are_named_and_skip_their_ranges(self, name,
+                                                              value):
+        v = core.validate_config(core.AlgorithmConfig(**{name: value}))
+        assert v == [f"{name} must be finite (got {value})"]
+
     def test_numpy_scalars_are_numbers(self):
         cfg = core.AlgorithmConfig(gamma=np.float64(1.2), mu=np.int64(0))
         assert core.validate_config(cfg) == ["mu must be in (0, 1) (got 0)"]
@@ -364,6 +373,13 @@ class TestObjectiveKernels:
             assert f(x).hex() == want.hex()
             assert f.evaluate(x.tolist()).hex() == want.hex()
 
+    def test_random_spd_quadratic_promotes_ints_alike(self):
+        # `evaluate` subtracts the minimizer from its input unconverted.
+        f = core.make_random_spd_quadratic(dimension=3, seed=0)
+        x = np.array([1, -2, 0])
+        want = f(x.astype(float)).hex()
+        assert f.evaluate(x).hex() == f.evaluate(x.tolist()).hex() == want
+
     @pytest.mark.parametrize("seed", [0, 3, 1000])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sphere_matches_dot(self, n, seed):
@@ -497,6 +513,21 @@ class TestRunCheck:
             "direction 1 has shape (3,), expected (2,)"]
         assert self.check(cfg, core.StopRule(), dirs=self.FLAT) == [
             "stop rule has no limits set; the run would never end"]
+
+    def test_start_scales_are_listed(self):
+        assert self.check(core.AlgorithmConfig(tau_star=math.inf),
+                          phi=-0.5, active_step=math.nan) == [
+            "tau_star must be finite (got inf)",
+            "start phi must be a finite number >= 0, got -0.5",
+            "active step must be a finite number >= 0, got nan"]
+
+    def test_scale_violations(self):
+        assert core.scale_violations() == []
+        assert core.scale_violations(0.0, [0.0, np.float64(2.0)], 0.0) == []
+        assert core.scale_violations(
+            "1", [1.0, -math.inf]) == [
+            "start phi must be a finite number >= 0, got '1'",
+            "stored step 1 must be a finite number >= 0, got -inf"]
 
     def test_nominal_mode_skips_the_determinant(self):
         core.check_run(core.AlgorithmConfig(), core.StopRule(max_cycles=1),

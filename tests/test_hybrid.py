@@ -345,6 +345,30 @@ def closed_loop(objective, x0, max_jumps, cfg=None, deltas=(0.5, 0.5),
     )
 
 
+def shared_rows(arc) -> int:
+    """Assert the arc's re-measure sharing rule and return the number of
+    shared rows.
+
+    Over the initial row and the jump rows, a row shares exactly when its
+    ``x`` bytes equal those of the row two jumps back: it then holds that
+    row's ``x`` array, and is that row's state when the ``zeta`` bytes
+    match too.  Every other row holds an ``x`` array no earlier row holds.
+    """
+    states = [arc.plant[0]] + [arc.plant[i] for i in arc.jump_rows()]
+    earlier: set[int] = set()
+    shared = 0
+    for j, xi in enumerate(states):
+        back = states[j - 2] if j >= 2 else None
+        if back is not None and xi.x.tobytes() == back.x.tobytes():
+            assert xi.x is back.x
+            assert (xi is back) == (xi.zeta.tobytes() == back.zeta.tobytes())
+            shared += 1
+        else:
+            assert id(xi.x) not in earlier
+        earlier.add(id(xi.x))
+    return shared
+
+
 def check_grammar(cases):
     """Assert a jump-case sequence is a chain of complete line
     minimizations -- (D1+ D2 D5) or (D2 D3 D4* D2 D5) -- with at most one
@@ -521,7 +545,7 @@ class TestClosedLoop:
         jumps = arc.jump_samples()
         assert len(jumps) == 300
         assert len({id(s.controller) for s in jumps}) == 300
-        assert len({id(s.plant) for s in jumps}) == 300
+        assert shared_rows(arc) > 0
         assert arc.samples[0].controller is not xc0
         assert arc.samples[0].plant is not xi0
 
@@ -775,6 +799,79 @@ class TestArcCsvOracle:
             "t,j,case,f,z,phi,delta,k,q,p,m\n")
 
 
+class _ScriptedPlant:
+    """A 1-D plant that lands on the scripted positions in turn, wherever
+    it is steered."""
+
+    kind = "scripted"
+    dimension = 1
+    zeta_dimension = 0
+
+    def __init__(self, positions):
+        self.positions = iter(positions)
+
+    def steer(self, xi, target, tau_star):
+        return [], None
+
+    def integrate(self, xi, schedule, tau_star, collect=None):
+        return PlantState(np.array([next(self.positions)]))
+
+
+def sharing_arc(kind: str) -> hybrid.HybridArc:
+    """A closed-loop arc on which re-measures share states."""
+    if kind == "exact":
+        return closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 300,
+                           noise=BoundedRandomNoise(1e-3, seed=5))
+    if kind == "dubins":
+        plant = plants.get_plant("dubins", v_max=10.0, u_max=80.0)
+        return run_closed_loop(
+            plant, core.make_rosenbrock(),
+            plant.initial_state(np.array([1.5, 0.0]), 0.3),
+            make_controller(AXES, [0.05, 0.05], 0.05), AlgorithmConfig(),
+            StopRule(max_jumps=200))
+    return run_closed_loop(
+        plants.get_plant("point_mass", substeps=8), core.make_aniso_quadratic(),
+        PlantState(np.array([1.5, 0.0])), make_controller(AXES, [0.5, 0.5], 0.5),
+        AlgorithmConfig(), StopRule(max_jumps=40), flow_samples_per_period=3)
+
+
+class TestReMeasureSharing:
+    @pytest.mark.parametrize("kind", ["exact", "dubins", "point_mass"])
+    def test_shared_rows_write_like_the_oracle(self, kind):
+        arc = sharing_arc(kind)
+        assert shared_rows(arc) > 0
+        assert_writes_like_oracle(arc)
+
+    def test_dubins_shares_the_position_under_a_new_heading(self):
+        arc = sharing_arc("dubins")
+        rows = arc.jump_rows()
+        assert any(arc.plant[b].x is arc.plant[a].x
+                   and arc.plant[b] is not arc.plant[a]
+                   for a, b in zip(rows, rows[2:]))
+
+    def test_signed_zero_is_not_shared(self):
+        arc = run_closed_loop(
+            _ScriptedPlant([1.0, -0.0, 1.0, 0.0]), core.make_sphere(1),
+            PlantState(np.array([0.0])), make_controller([np.ones(1)], [0.5], 0.5),
+            AlgorithmConfig(), StopRule(max_jumps=4))
+        assert arc.plant[2].x is not arc.plant[0].x
+        assert arc.plant[3] is arc.plant[1]
+        assert arc.plant[4].x is not arc.plant[2].x
+        assert shared_rows(arc) == 1
+        text = assert_writes_like_oracle(arc)
+        assert [row.split(",")[3] for row in text.splitlines()[1:]] == [
+            "0.0", "1.0", "-0.0", "1.0", "0.0"]
+
+    def test_distinct_positions_are_pinned(self):
+        # 715 of the 2,000 jump rows land bit for bit on the point two jumps
+        # back, so 2,001 rows hold 1,286 position arrays.
+        arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 2000,
+                          noise=BoundedRandomNoise(1e-3, seed=5))
+        assert len(arc.plant) == 2001
+        assert len({id(xi.x) for xi in arc.plant}) == 1286
+        assert shared_rows(arc) == 715
+
+
 class _RecordingSink:
     """A text sink that keeps every string passed to `write`."""
 
@@ -1000,6 +1097,58 @@ class TestDegenerateStart:
         report = equivalence_check(arc, state.iterate_log, tol=1e-9,
                                    min_points=200)
         assert report.ok, report.detail
+
+
+class TestBadStartScale:
+    """`core.check_run` rejects a start frame scale or stored step that is
+    negative or not finite on both routes, before the first measurement."""
+
+    X0 = np.array([1.5, 0.5])
+
+    def walk(self, phi, steps):
+        return rsp.run(core.make_sphere(2), self.X0, AlgorithmConfig(),
+                       StopRule(max_evaluations=200),
+                       directions=core.DirectionSet(AXES, steps), phi0=phi)
+
+    def loop(self, phi, steps):
+        return run_closed_loop(ExactPlant(), core.make_sphere(2),
+                               PlantState(self.X0.copy()),
+                               make_controller(AXES, steps, phi),
+                               AlgorithmConfig(), StopRule(max_jumps=200))
+
+    @pytest.mark.parametrize("route", ["walk", "loop"])
+    @pytest.mark.parametrize("phi, steps, expected", [
+        (-1.0, [1.0, 1.0], ["start phi must be a finite number >= 0, got -1.0"]),
+        (math.nan, [1.0, 1.0],
+         ["start phi must be a finite number >= 0, got nan"]),
+        (math.inf, [1.0, -1.0],
+         ["start phi must be a finite number >= 0, got inf",
+          "stored step 1 must be a finite number >= 0, got -1.0"]),
+        (1.0, [math.nan, 1.0],
+         ["stored step 0 must be a finite number >= 0, got nan"]),
+    ], ids=["phi-negative", "phi-nan", "phi-inf-step-negative", "step-nan"])
+    def test_both_routes_reject_alike(self, route, phi, steps, expected):
+        if route == "loop" and steps[1] != 1.0:
+            # The loop opens on the newest slot's step.
+            expected = expected + [
+                f"active step must be a finite number >= 0, got {steps[1]!r}"]
+        with pytest.raises(core.ConfigError) as info:
+            getattr(self, route)(phi, steps)
+        assert info.value.violations == expected
+
+    def test_the_loops_opening_step_is_checked(self):
+        with pytest.raises(core.ConfigError) as info:
+            run_closed_loop(ExactPlant(), core.make_sphere(2),
+                            PlantState(self.X0.copy()),
+                            make_controller(AXES, [1.0, 1.0], 1.0,
+                                            delta=-math.inf),
+                            AlgorithmConfig(), StopRule(max_jumps=200))
+        assert info.value.violations == [
+            "active step must be a finite number >= 0, got -inf"]
+
+    @pytest.mark.parametrize("route", ["walk", "loop"])
+    def test_zero_is_legal(self, route):
+        getattr(self, route)(0.0, [0.0, 0.0])
 
 
 class TestNonFiniteMeasurement:
