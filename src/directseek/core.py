@@ -529,7 +529,10 @@ def close_cycle(
 class ObjectiveFunction:
     """A scalar field to be minimized, with optional analytic derivatives.
 
-    ``evaluate`` maps an n-vector to a float.  ``gradient`` and ``hessian``
+    ``evaluate`` maps an n-vector to a float and must be a pure function of
+    ``x``: both routes evaluate it once per distinct measured point (a
+    re-measure bitwise at the point measured two before reuses the value)
+    and add fresh noise at every measurement.  ``gradient`` and ``hessian``
     are optional callables with matching conventions.  ``known_minimizers``
     and ``known_min_value`` enable error reporting in summaries and tests.
     """

@@ -22,7 +22,9 @@ The line-search traversal here is written independently of `directseek.rsp`;
 both routes take the run check, the stop rule, the slot map, the
 determinant guard, the travel meter and the cycle-close rebuild from
 `directseek.core`.  `equivalence_check` verifies the two routes measure
-the field at identical points.
+the field at identical points.  Both evaluate the field once per distinct
+measured point: a re-measure that lands bitwise on the point measured two
+jumps back reuses its objective value and draws fresh noise.
 
 A run is logged as a `HybridArc`: parallel columns, one row per logged
 hybrid time ``(t, j)``, sharing the loop's never-mutated states, and a
@@ -399,17 +401,25 @@ class HybridArc:
             map(repr, map(float, self.t)),
             self.j,
             ("" if c is None else c.value for c in self.case),
-            _positions(self.plant),
+            _positions(self.plant, self.case),
             _measured_tail(self.measured, self.controller),
         ))
 
 
-def _positions(plant):
-    """Yield each row's ``x0..x{n-1}`` fields; a row whose ``x`` is the
-    array of the row two back reuses that row's string."""
+def _positions(plant, case):
+    """Yield each row's ``x0..x{n-1}`` fields.
+
+    Over the initial row and the jump rows, a row whose ``x`` is the array
+    of the one two back reuses that row's string.  Intra-period rows (no
+    case, after the initial row) are formatted on their own and skip that
+    memo.
+    """
     x1 = x2 = None
     s1 = s2 = ""
-    for xi in plant:
+    for xi, c in zip(plant, case):
+        if c is None and x1 is not None:  # an intra-period row
+            yield ",".join(map(repr, xi.x.tolist()))
+            continue
         s = s2 if xi.x is x2 else ",".join(map(repr, xi.x.tolist()))
         x2, s2, x1, s1 = x1, s1, xi.x, s
         yield s
@@ -480,7 +490,9 @@ def run_closed_loop(
     columns; rows share the loop's states, and ``xi0``/``xc0`` are copied
     once on entry.  A re-measure (D3, D5) whose ``x`` is bitwise the one
     logged two jumps back logs that state again, or, under a new heading,
-    a state sharing its ``x`` array.
+    a state sharing its ``x`` array, and reuses that jump's objective value
+    (the start is never measured, so a re-measure there calls the
+    objective); noise is drawn at every jump.
 
     Raises `core.ConfigError` on inputs that break `core.check_run`, as
     `rsp.run` does; its budgets include ``F``, its scales the start ``phi``,
@@ -500,8 +512,10 @@ def run_closed_loop(
     xc = xc0.copy()
     arc = HybridArc()
     arc.append(0.0, 0, xi, xc)
-    # x bytes of the states logged one and two jumps back, and the latter.
+    # x bytes of the states logged one and two jumps back, the latter, and
+    # their objective values (None for the start, which is not measured).
     key1, key2, back2 = xi.x.tobytes(), None, None
+    f1 = f2 = None
     j = cycles = 0
     cap = stop.measurement_cap
     d5 = JumpCase.D5  # read on every jump; a local is cheaper than the class
@@ -517,6 +531,9 @@ def run_closed_loop(
         if key == key2:  # a re-measure landed on the point two jumps back
             xi = (back2 if xi.zeta.tobytes() == back2.zeta.tobytes()
                   else PlantState(back2.x, xi.zeta))
+            f = f2
+        else:
+            f = None
         back2, key2, key1 = last, key1, key
         if collect is not None:
             stride = len(collect) // (flow_samples_per_period + 1)
@@ -532,7 +549,8 @@ def run_closed_loop(
                            xc)
 
         j += 1
-        y = float(objective(xi.x))
+        y = float(objective(xi.x)) if f is None else f
+        f2, f1 = f1, y
         if noise is not None:
             y += float(noise.sample(j, xc.delta, xc.v))
         if not math.isfinite(y):

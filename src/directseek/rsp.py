@@ -7,6 +7,9 @@ on failure, and rebuilds its direction set once per cycle from the
 parallel-subspace displacement.  `run` is its one entry point.  Every
 objective measurement is logged so the closed-loop realization in
 `directseek.hybrid` can be checked against this route probe-for-probe.
+The field is evaluated once per distinct measured point: a re-measure that
+lands bitwise on the point measured two before reuses its objective value
+and draws fresh noise.
 
 A cycle over ``n`` directions runs ``n + 1`` line minimizations: the newest
 direction is explored first AND last, and the total displacement accumulated
@@ -114,19 +117,30 @@ class _BudgetExhausted(Exception):
 
 
 class _Meter:
-    """Counts objective measurements, applies noise, enforces the cap."""
+    """Counts objective measurements, applies noise, enforces the cap.
+
+    Keeps the field value of the last two measurements under the measured
+    point's ``x.tobytes()``.  A measurement whose bytes equal those of the
+    measurement two before (a re-measure at the anchor or the best point)
+    reuses that value and does not call the objective; noise is still drawn
+    at every measurement.  The start is never measured, so it has no slot.
+    """
 
     def __init__(self, objective, noise=None, cap: Optional[int] = None):
         self.objective = objective
         self.noise = noise
         self.cap = cap
         self.count = 0
+        self.key1 = self.key2 = None
+        self.f1 = self.f2 = 0.0
 
     def measure(self, x: np.ndarray, delta: float, direction: np.ndarray) -> float:
         if self.cap is not None and self.count >= self.cap:
             raise _BudgetExhausted
         self.count += 1
-        y = float(self.objective(x))
+        key = x.tobytes()
+        y = self.f2 if key == self.key2 else float(self.objective(x))
+        self.key2, self.f2, self.key1, self.f1 = self.key1, self.f1, key, y
         if self.noise is not None:
             y += float(self.noise.sample(self.count, delta, direction))
         if not math.isfinite(y):

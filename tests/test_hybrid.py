@@ -3,6 +3,7 @@ maps, the direction-update function, the closed loop, and the
 probe-for-probe agreement between the two search realizations."""
 import copy
 import csv
+import hashlib
 import io
 import math
 from dataclasses import fields, replace
@@ -862,6 +863,23 @@ class TestReMeasureSharing:
         assert [row.split(",")[3] for row in text.splitlines()[1:]] == [
             "0.0", "1.0", "-0.0", "1.0", "0.0"]
 
+    def test_dense_rows_leave_the_position_memo_to_the_jump_rows(self):
+        # With F = 3 the row two back of a jump row is a dense row, so the
+        # memo runs over the initial and jump rows only: each shared
+        # jump-row position is formatted once.
+        arc = run_closed_loop(
+            plants.get_plant("point_mass", substeps=8),
+            core.make_aniso_quadratic(), PlantState(np.array([1.5, 0.0])),
+            make_controller(AXES, [0.5, 0.5], 0.5), AlgorithmConfig(),
+            StopRule(max_jumps=2000), flow_samples_per_period=3)
+        rows = [0, *arc.jump_rows()]
+        pairs = list(zip(rows, rows[2:]))
+        strings = list(hybrid._positions(arc.plant, arc.case))
+        shared = [arc.plant[b].x is arc.plant[a].x for a, b in pairs]
+        assert sum(shared) == 910
+        assert [strings[b] is strings[a] for a, b in pairs] == shared
+        assert_writes_like_oracle(arc)
+
     def test_distinct_positions_are_pinned(self):
         # 715 of the 2,000 jump rows land bit for bit on the point two jumps
         # back, so 2,001 rows hold 1,286 position arrays.
@@ -870,6 +888,79 @@ class TestReMeasureSharing:
         assert len(arc.plant) == 2001
         assert len({id(xi.x) for xi in arc.plant}) == 1286
         assert shared_rows(arc) == 715
+
+
+def counting(objective, calls):
+    """``objective``, appending each argument it is called with to ``calls``."""
+
+    def evaluate(x):
+        calls.append(x)
+        return objective.evaluate(x)
+
+    return core.ObjectiveFunction(objective.name, objective.dimension, evaluate)
+
+
+def digest(values) -> str:
+    """A short digest of a sequence of floats' bytes."""
+    return hashlib.sha256(np.array(values, dtype=float).tobytes()).hexdigest()[:16]
+
+
+class TestFieldReuse:
+    """The loop evaluates the field once per distinct measured point: a jump
+    whose ``x`` bytes equal those of the jump two back reuses that jump's
+    objective value, and noise is drawn at every jump.  The start is logged,
+    not measured, so a re-measure there calls the objective."""
+
+    def test_calls_skip_exactly_the_two_back_repeats(self):
+        calls = []
+        noise = BoundedRandomNoise(1e-3, seed=5)
+        arc = closed_loop(counting(core.make_aniso_quadratic(), calls),
+                          [1.5, 0.0], 2000, noise=noise)
+        jumps = [arc.plant[i] for i in arc.jump_rows()]
+        fresh = [xi.x for j, xi in enumerate(jumps)
+                 if j < 2 or xi.x.tobytes() != jumps[j - 2].x.tobytes()]
+        assert (len(jumps), len(fresh)) == (2000, 1286)
+        assert len(calls) == len(fresh)
+        assert all(arg is x for arg, x in zip(calls, fresh))
+
+    def test_noise_is_drawn_once_per_measurement(self):
+        noise = BoundedRandomNoise(1e-3, seed=5)
+        arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 2000,
+                          noise=noise)
+        f = core.make_aniso_quadratic()
+        rows = arc.jump_rows()
+        measured = [arc.measured[i] for i in rows]
+        assert len(noise.history) == 2000
+        assert measured == [f(arc.plant[i].x) + n
+                            for i, n in zip(rows, noise.history)]
+        # The noise and the measured values of this run as one objective
+        # call per measurement gave them; the walker draws the same noise.
+        assert digest(noise.history) == "92e204346d44c05d"
+        assert digest(measured) == "64bc31167557e345"
+
+    def test_a_first_line_re_anchor_at_the_start_calls_the_objective(self):
+        calls = []
+        arc = closed_loop(counting(core.make_aniso_quadratic(), calls),
+                          [1.5, 0.0], 2)
+        assert arc.case[1:] == [JumpCase.D2, JumpCase.D3]
+        assert arc.plant[2] is arc.plant[0]
+        assert len(calls) == 2 and calls[1] is arc.plant[0].x
+        assert arc.measured[2] == 2.25
+
+    def test_a_re_measure_at_signed_zero_calls_the_objective(self):
+        calls = []
+
+        def signed(x):
+            calls.append(x)
+            return 1.0 + math.copysign(0.5, x[0])
+
+        arc = run_closed_loop(
+            _ScriptedPlant([1.0, -0.0, 1.0, 0.0]),
+            core.ObjectiveFunction("signed", 1, signed),
+            PlantState(np.array([0.0])), make_controller([np.ones(1)], [0.5], 0.5),
+            AlgorithmConfig(), StopRule(max_jumps=4))
+        assert arc.measured[1:] == [1.5, 0.5, 1.5, 1.5]
+        assert [repr(x.item()) for x in calls] == ["1.0", "-0.0", "0.0"]
 
 
 class _RecordingSink:

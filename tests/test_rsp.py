@@ -2,6 +2,7 @@
 decrease, cycle mechanics, step-size laws, the conjugate-direction update,
 and the exact-minimization mode used by the quadratic-termination checks."""
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from directseek import core, rsp
 from directseek.core import AlgorithmConfig, DirectionSet, StopRule
+from directseek.noise import BoundedRandomNoise
 
 
 def make_parabola():
@@ -301,10 +303,16 @@ class TestIterateLog:
         state = rsp.run(recording_quadratic(seen), x0, AlgorithmConfig(),
                         StopRule(max_evaluations=300), directions=self.AXES)
         log = state.iterate_log
-        assert len(log) == len(seen) == 300
-        for record, (arg, snapshot) in zip(log, seen):
+        assert len(log) == 300
+        # The objective is called at exactly the records whose point is not
+        # bitwise the one measured two before, with that record's array.
+        called = [r for i, r in enumerate(log)
+                  if i < 2 or r.x.tobytes() != log[i - 2].x.tobytes()]
+        assert len(seen) == len(called)
+        for record, (arg, snapshot) in zip(called, seen):
             assert record.x is arg
             assert record.x.tobytes() == snapshot.tobytes()
+        for record in log:
             assert record.x is not x0 and record.anchor is not x0
         reanchors = [r for r in log if r.kind == "reanchor"]
         assert reanchors
@@ -337,6 +345,81 @@ class TestIterateLog:
         before = copy.deepcopy(state.iterate_log)
         x0[:] = 99.0
         assert_same_records(before, state.iterate_log)
+
+
+def signed_objective(seen):
+    """``1 + copysign(0.5, x0)``: tells -0.0 from 0.0.  Logs each argument."""
+
+    def evaluate(x):
+        seen.append(x)
+        return 1.0 + math.copysign(0.5, x[0])
+
+    return core.ObjectiveFunction("signed", 1, evaluate)
+
+
+def digest(values) -> str:
+    """A short digest of a sequence of floats' bytes."""
+    return hashlib.sha256(np.array(values, dtype=float).tobytes()).hexdigest()[:16]
+
+
+class TestFieldReuse:
+    """The walker evaluates the field once per distinct measured point: a
+    measurement whose bytes equal those of the measurement two before
+    reuses that value, and noise is drawn at every measurement."""
+
+    AXES = DirectionSet([np.array([1.0, 0.0]), np.array([0.0, 1.0])],
+                        [0.5, 0.5])
+
+    def noisy_walk(self, seen):
+        noise = BoundedRandomNoise(1e-3, seed=5)
+        state = rsp.run(recording_quadratic(seen), [1.5, 0.0],
+                        AlgorithmConfig(), StopRule(max_evaluations=2000),
+                        directions=self.AXES, phi0=0.5, noise=noise)
+        return state.iterate_log, noise
+
+    def test_calls_skip_exactly_the_two_back_repeats(self):
+        seen = []
+        log, _ = self.noisy_walk(seen)
+        repeats = sum(b.x.tobytes() == a.x.tobytes()
+                      for a, b in zip(log, log[2:]))
+        assert (len(log), repeats) == (2000, 739)
+        assert len(seen) == 2000 - repeats
+
+    def test_noise_is_drawn_once_per_measurement(self):
+        log, noise = self.noisy_walk([])
+        f = core.make_aniso_quadratic()
+        assert len(noise.history) == 2000
+        assert [r.measured for r in log] == [
+            f(r.x) + n for r, n in zip(log, noise.history)]
+        # The noise and the measured values of this run as one objective
+        # call per measurement gave them.
+        assert digest(noise.history) == "92e204346d44c05d"
+        assert digest([r.measured for r in log]) == "9be931a0c601b402"
+
+    def test_a_first_line_re_anchor_at_the_start_calls_the_objective(self):
+        # The start is never measured, so the re-measure there is new.
+        seen = []
+        x0 = np.array([1.5, 0.0])
+        log = rsp.run(recording_quadratic(seen), x0, AlgorithmConfig(),
+                      StopRule(max_evaluations=2), directions=self.AXES,
+                      phi0=0.5).iterate_log
+        assert [r.kind for r in log] == ["probe_pos", "reanchor"]
+        assert log[1].x.tobytes() == x0.tobytes()
+        assert len(seen) == 2 and seen[1][0] is log[1].x
+        assert log[1].measured == 2.25
+
+    def test_a_re_measure_at_signed_zero_calls_the_objective(self):
+        # The line fails on both sides, so it closes at -0.0 + 0.0 * v = 0.0,
+        # two measurements after the re-anchor at -0.0.
+        seen = []
+        log = rsp.run(signed_objective(seen), np.array([-0.0]),
+                      AlgorithmConfig(), StopRule(max_evaluations=4),
+                      directions=DirectionSet([np.ones(1)], [1.0])).iterate_log
+        assert [r.kind for r in log] == [
+            "probe_pos", "reanchor", "probe_neg", "close"]
+        assert [repr(r.x.item()) for r in log] == ["1.0", "-0.0", "-1.0", "0.0"]
+        assert [r.measured for r in log] == [1.5, 0.5, 0.5, 1.5]
+        assert len(seen) == 4
 
 
 class TestSufficientDecreaseLedger:
