@@ -18,6 +18,7 @@ from .core import (
     direction_determinant,
     get_objective,
     log_rho,
+    phi_update,
     rho,
     rho_underflows,
     validate_config,
@@ -31,14 +32,7 @@ from .plants import (
     SteeringError,
     get_plant,
 )
-from .rsp import (
-    EvalRecord,
-    ExactCycleReport,
-    RspState,
-    exact_cycles,
-    exact_line_search,
-    run,
-)
+from .rsp import EvalRecord, RspState, run
 from .hybrid import (
     ArcSample,
     AutomatonError,
@@ -50,7 +44,6 @@ from .hybrid import (
     equivalence_check,
     jump,
     make_controller,
-    phi_update,
     run_closed_loop,
 )
 from .noise import (

@@ -5,7 +5,7 @@ reporting, small dense linear-algebra helpers for direction sets,
 the rules that the walker (`directseek.rsp`) and the controller
 (`directseek.hybrid`) share -- the run check, the stop rule, the slot map,
 the determinant guard and the cycle-close rebuild -- and a registry of
-benchmark objective functions with optional analytic derivatives.
+benchmark objective functions with optional analytic gradients.
 """
 from __future__ import annotations
 
@@ -154,10 +154,6 @@ class DirectionSet:
     def dimension(self) -> int:
         return len(self.directions)
 
-    def matrix(self) -> np.ndarray:
-        """Directions stacked as rows of an (n, n) matrix."""
-        return np.array(self.directions, dtype=float)
-
     def copy(self) -> "DirectionSet":
         return DirectionSet(
             [d.copy() for d in self.directions], list(self.step_sizes)
@@ -167,14 +163,11 @@ class DirectionSet:
 def direction_determinant(directions) -> float:
     """Determinant of the matrix whose rows are the given directions.
 
-    Accepts a `DirectionSet`, a sequence of n-vectors, or an (n, n) array.
-    Computed by LU factorization with partial pivoting (``numpy.linalg.det``).
-    A 1x1 input reduces to the scalar itself.
+    Accepts a sequence of n-vectors or an (n, n) array.  Computed by LU
+    factorization with partial pivoting (``numpy.linalg.det``).  A 1x1 input
+    reduces to the scalar itself.
     """
-    if isinstance(directions, DirectionSet):
-        mat = directions.matrix()
-    else:
-        mat = np.asarray(directions, dtype=float)
+    mat = np.asarray(directions, dtype=float)
     if mat.ndim == 1:
         mat = mat.reshape(1, -1)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -320,15 +313,16 @@ def dimension_violations(
     x0, directions: Sequence, steps: Sequence[float],
     dimension: Optional[int] = None, active=None,
     zeta=None, zeta_dimension: Optional[int] = None,
+    objective_dimension: Optional[int] = None,
 ) -> list[str]:
     """Return the violations of a run's dimensions (empty if they agree).
 
     With ``n = len(directions)``, the start ``x0``, every direction and a
     given ``active`` direction must be ``n``-vectors, there must be one
-    stored step per direction, and a given plant ``dimension`` must equal
-    ``n``.  A given ``zeta_dimension`` is the length of the plant's internal
-    state, and the start's internal state ``zeta`` must be a vector of that
-    length.
+    stored step per direction, and a given plant ``dimension`` and
+    ``objective_dimension`` must equal ``n``.  A given ``zeta_dimension`` is
+    the length of the plant's internal state, and the start's internal state
+    ``zeta`` must be a vector of that length.
     """
     n = len(directions)
     v: list[str] = []
@@ -345,6 +339,9 @@ def dimension_violations(
         v.append(f"{len(steps)} stored steps for {n} directions")
     if dimension is not None and dimension != n:
         v.append(f"plant dimension {dimension} differs from {n} directions")
+    if objective_dimension is not None and objective_dimension != n:
+        v.append(f"objective dimension {objective_dimension} differs from "
+                 f"{n} directions")
     if zeta_dimension is not None and np.shape(zeta) != (zeta_dimension,):
         v.append(f"plant internal state has shape {np.shape(zeta)}, "
                  f"expected ({zeta_dimension},)")
@@ -373,7 +370,8 @@ def check_run(
     cfg: AlgorithmConfig, stop: StopRule, x0, directions: Sequence,
     steps: Sequence[float], *, phi: Optional[float] = None,
     active_step: Optional[float] = None, dimension: Optional[int] = None,
-    active=None, zeta=None, zeta_dimension: Optional[int] = None, **counts,
+    active=None, zeta=None, zeta_dimension: Optional[int] = None,
+    objective_dimension: Optional[int] = None, **counts,
 ) -> None:
     """Raise one `ConfigError` listing every way a run's inputs break
     `validate_config`, `budget_violations` (with ``counts``),
@@ -384,7 +382,7 @@ def check_run(
     """
     v = (validate_config(cfg) + budget_violations(stop, **counts)
          + dimension_violations(x0, directions, steps, dimension, active,
-                                zeta, zeta_dimension)
+                                zeta, zeta_dimension, objective_dimension)
          + scale_violations(phi, steps, active_step))
     if all(limit is None for limit in vars(stop).values()):
         v.append("stop rule has no limits set; the run would never end")
@@ -527,23 +525,22 @@ def close_cycle(
 
 @dataclass
 class ObjectiveFunction:
-    """A scalar field to be minimized, with optional analytic derivatives.
+    """A scalar field on ``R^dimension`` to be minimized.
 
     ``evaluate`` maps an n-vector to a float and must be a pure function of
     ``x``: both routes evaluate it once per distinct measured point (a
     re-measure bitwise at the point measured two before reuses the value)
-    and add fresh noise at every measurement.  ``gradient`` and ``hessian``
-    are optional callables with matching conventions.  ``known_minimizers``
-    and ``known_min_value`` enable error reporting in summaries and tests.
+    and add fresh noise at every measurement, and both reject a start whose
+    length is not ``dimension``.  The optional analytic ``gradient`` is read
+    by `noise.gradient_bound_on_box`; ``known_minimizers`` give the run
+    summary its distance to the minimizer.
     """
 
     name: str
     dimension: int
     evaluate: Callable[[np.ndarray], float]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_minimizers: Optional[list[np.ndarray]] = None
-    known_min_value: Optional[float] = None
 
     def __call__(self, x) -> float:
         return float(self.evaluate(np.asarray(x, dtype=float)))
@@ -573,23 +570,17 @@ def make_sphere(dimension: int = 2) -> ObjectiveFunction:
     def g(x: np.ndarray) -> np.ndarray:
         return 2.0 * np.asarray(x, dtype=float)
 
-    def h(x: np.ndarray) -> np.ndarray:
-        return 2.0 * np.eye(dimension)
-
     return ObjectiveFunction(
         name="sphere",
         dimension=dimension,
         evaluate=f,
         gradient=g,
-        hessian=h,
         known_minimizers=[np.zeros(dimension)],
-        known_min_value=0.0,
     )
 
 
 def make_aniso_quadratic() -> ObjectiveFunction:
     """Anisotropic 2-D quadratic ``f(x) = x1^2 + 5 x2^2``, minimizer (0, 0)."""
-    H = np.diag([2.0, 10.0])
 
     def f(x: np.ndarray) -> float:
         x0, x1 = x.tolist()
@@ -598,17 +589,12 @@ def make_aniso_quadratic() -> ObjectiveFunction:
     def g(x: np.ndarray) -> np.ndarray:
         return np.array([2.0 * x[0], 10.0 * x[1]])
 
-    def h(x: np.ndarray) -> np.ndarray:
-        return H.copy()
-
     return ObjectiveFunction(
         name="aniso_quadratic",
         dimension=2,
         evaluate=f,
         gradient=g,
-        hessian=h,
         known_minimizers=[np.zeros(2)],
-        known_min_value=0.0,
     )
 
 
@@ -630,23 +616,12 @@ def make_rosenbrock() -> ObjectiveFunction:
             [-2.0 * (1.0 - x[0]) - 40.0 * x[0] * b, 20.0 * b]
         )
 
-    def h(x: np.ndarray) -> np.ndarray:
-        b = x[1] - x[0] * x[0]
-        return np.array(
-            [
-                [2.0 - 40.0 * b + 80.0 * x[0] * x[0], -40.0 * x[0]],
-                [-40.0 * x[0], 20.0],
-            ]
-        )
-
     return ObjectiveFunction(
         name="rosenbrock",
         dimension=2,
         evaluate=f,
         gradient=g,
-        hessian=h,
         known_minimizers=[np.ones(2)],
-        known_min_value=0.0,
     )
 
 
@@ -677,17 +652,12 @@ def make_random_spd_quadratic(
     def g(x: np.ndarray) -> np.ndarray:
         return H @ (np.asarray(x, dtype=float) - x_star)
 
-    def h(x: np.ndarray) -> np.ndarray:
-        return H.copy()
-
     return ObjectiveFunction(
         name=f"random_spd_quadratic(n={dimension}, seed={seed})",
         dimension=dimension,
         evaluate=f,
         gradient=g,
-        hessian=h,
         known_minimizers=[x_star.copy()],
-        known_min_value=0.0,
     )
 
 
@@ -705,9 +675,6 @@ def _make_constant(dimension: int = 2, value: float = 0.0) -> ObjectiveFunction:
         dimension=dimension,
         evaluate=f,
         gradient=g,
-        hessian=lambda x: np.zeros((dimension, dimension)),
-        known_minimizers=None,
-        known_min_value=value,
     )
 
 

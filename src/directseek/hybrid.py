@@ -50,7 +50,6 @@ from .core import (
     close_cycle,
     line_end_step,
     line_travel,
-    phi_update,
     rho,
     stop_reason,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "HybridArc",
     "classify_jump",
     "jump",
-    "phi_update",
     "make_controller",
     "run_closed_loop",
     "EquivalenceReport",
@@ -497,15 +495,17 @@ def run_closed_loop(
     Raises `core.ConfigError` on inputs that break `core.check_run`, as
     `rsp.run` does; its budgets include ``F``, its scales the start ``phi``,
     the stored steps and the opening ``delta``, and its dimensions the stored
-    and active directions, ``plant.dimension`` and the start's internal
-    state against ``plant.zeta_dimension``.  Raises `ValueError` when the
-    plant emits fewer than ``F + 1`` dense rows a period (`ExactPlant`
-    emits one).  Raises `EvaluationError` when a measurement (objective
-    value plus noise) is non-finite, as the walker does.
+    and active directions, the plant's and the objective's ``dimension`` and
+    the start's internal state against ``plant.zeta_dimension``.  Raises
+    `ValueError` when the plant emits fewer than ``F + 1`` dense rows a
+    period (`ExactPlant` emits one).  Raises `EvaluationError` when a
+    measurement (objective value plus noise) is non-finite, as the walker
+    does.
     """
     check_run(cfg, stop, xi0.x, xc0.dirs, xc0.deltas, phi=xc0.phi,
               active_step=xc0.delta, dimension=plant.dimension, active=xc0.v,
               zeta=xi0.zeta, zeta_dimension=plant.zeta_dimension,
+              objective_dimension=objective.dimension,
               flow_samples_per_period=flow_samples_per_period)
 
     xi = xi0.copy()

@@ -23,6 +23,8 @@ controller's progress guarantee holds: ``rho(lambda_s * phi_floor) / 2``.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -53,6 +55,21 @@ __all__ = [
     "NOISE_BUILDERS",
     "get_noise",
 ]
+
+
+def _bound(name: str, value) -> float:
+    """``value`` as a float, if it is a finite real number >= 0."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 <= value < math.inf):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is an integer (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class NoiseModel:
@@ -95,17 +112,17 @@ class BoundedRandomNoise(NoiseModel):
     The uniforms are drawn ``_BLOCK`` at a time and handed out one per
     sample.  numpy's sized draw computes each element as the scalar draw
     does, so the values are bitwise those of one
-    ``default_rng(seed).uniform(-bound, bound)`` call per sample.
+    ``default_rng(seed).uniform(-bound, bound)`` call per sample.  Raises
+    ``ValueError`` unless ``bound`` is a finite number >= 0 and ``seed`` an
+    integer.
     """
 
     kind = "bounded_random"
 
     def __init__(self, bound: float, seed: int = 0):
         super().__init__()
-        if bound < 0:
-            raise ValueError(f"bound must be >= 0, got {bound}")
-        self.bound = float(bound)
-        self.seed = int(seed)
+        self.bound = _bound("bound", bound)
+        self.seed = _integer("seed", seed)
         self.reset()
 
     def _value(self, k: int, delta: float, direction) -> float:
@@ -131,16 +148,20 @@ class AdversarialJamNoise(NoiseModel):
     < bound``; from then on every measurement adds
     ``grad_bound * delta_k * dir_bound + rho(delta_k)`` to the running
     offset — enough to cancel the largest possible true decrease plus the
-    acceptance threshold, so no probe is ever accepted again.
+    acceptance threshold, so no probe is ever accepted again.  Raises
+    ``ValueError`` unless the three bounds are finite numbers >= 0 and
+    ``theta`` lies in (0, 1).
     """
 
     kind = "adversarial_jam"
 
     def __init__(self, bound: float, grad_bound: float, dir_bound: float, theta: float):
         super().__init__()
-        self.bound = float(bound)
-        self.grad_bound = float(grad_bound)
-        self.dir_bound = float(dir_bound)
+        self.bound = _bound("bound", bound)
+        self.grad_bound = _bound("grad_bound", grad_bound)
+        self.dir_bound = _bound("dir_bound", dir_bound)
+        if not (isinstance(theta, numbers.Real) and 0 < theta < 1):
+            raise ValueError(f"theta must be in (0, 1), got {theta!r}")
         self.theta = float(theta)
         self.activated_at: Optional[int] = None
         self._accum = 0.0
@@ -169,16 +190,18 @@ class AdversarialDragNoise(NoiseModel):
     From measurement ``start`` onward, each measurement subtracts
     ``grad_bound * delta_k * dir_bound + rho(delta_k)`` from the running
     offset, so every probe passes the sufficient-decrease test regardless of
-    the true field — the iterate is dragged wherever probing leads.
+    the true field — the iterate is dragged wherever probing leads.  Raises
+    ``ValueError`` unless both bounds are finite numbers >= 0 and ``start``
+    is an integer.
     """
 
     kind = "adversarial_drag"
 
     def __init__(self, grad_bound: float, dir_bound: float, start: int = 1):
         super().__init__()
-        self.grad_bound = float(grad_bound)
-        self.dir_bound = float(dir_bound)
-        self.start = int(start)
+        self.grad_bound = _bound("grad_bound", grad_bound)
+        self.dir_bound = _bound("dir_bound", dir_bound)
+        self.start = _integer("start", start)
         self._accum = 0.0
 
     def _value(self, k: int, delta: float, direction) -> float:

@@ -14,18 +14,12 @@ and draws fresh noise.
 A cycle over ``n`` directions runs ``n + 1`` line minimizations: the newest
 direction is explored first AND last, and the total displacement accumulated
 over the cycle becomes the candidate that replaces the oldest direction.
-
-`exact_line_search` / `exact_cycles` swap the discrete probing for closed-form
-minimization on quadratics.  The exact-mode candidate drops the opening line
-minimization's travel, measuring the displacement between the two minima
-found along the re-explored direction — the parallel-subspace construction
-that makes accepted candidates mutually conjugate on quadratics.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +33,6 @@ from .core import (
     close_cycle,
     line_end_step,
     line_travel,
-    passes_determinant_guard,
     rho,
     stop_reason,
 )
@@ -50,9 +43,6 @@ __all__ = [
     "EvaluationError",
     "RspState",
     "run",
-    "exact_line_search",
-    "ExactCycleReport",
-    "exact_cycles",
     "active_slot",
 ]
 
@@ -337,7 +327,7 @@ def run(
             [np.eye(n)[i] for i in range(n)], [1.0] * n
         )
     check_run(cfg, stop, x0, directions.directions, directions.step_sizes,
-              phi=phi0)
+              phi=phi0, objective_dimension=objective.dimension)
     state = RspState(
         x=x0, directions=directions.copy(), phi=float(phi0), z=float(z0)
     )
@@ -348,117 +338,3 @@ def run(
     state.stopped = reason
     return state
 
-
-# ---------------------------------------------------------------------------
-# Exact line-search mode (quadratics)
-# ---------------------------------------------------------------------------
-
-
-def exact_line_search(objective, x, direction) -> float:
-    """Closed-form step to the minimum of a quadratic along a direction.
-
-    ``t* = -grad(x)^T d / (d^T H d)``; requires analytic ``gradient`` and
-    ``hessian`` and strict convexity along ``direction``.
-    """
-    if objective.gradient is None or objective.hessian is None:
-        raise ValueError(
-            "exact_line_search needs an objective with analytic gradient and hessian"
-        )
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    H = np.asarray(objective.hessian(x), dtype=float)
-    den = float(d @ H @ d)
-    if den <= 0.0:
-        raise ValueError(
-            f"objective is not strictly convex along the direction (d^T H d = {den})"
-        )
-    return -float(np.asarray(objective.gradient(x), dtype=float) @ d) / den
-
-
-@dataclass
-class CandidateRecord:
-    """One cycle-end direction candidate from the exact-mode walker."""
-
-    cycle: int
-    candidate: np.ndarray
-    accepted: bool
-    re_explored: np.ndarray
-    prior_accepted: list[np.ndarray]
-
-
-@dataclass
-class ExactCycleReport:
-    """Trace of `exact_cycles`: iterate after each line minimization,
-    cycle-end candidates, and the final state."""
-
-    positions: list[np.ndarray]
-    candidates: list[CandidateRecord]
-    final_x: np.ndarray
-    final_directions: list[np.ndarray]
-    line_minimizations: int
-
-
-def exact_cycles(
-    objective,
-    x0,
-    directions: Sequence[np.ndarray],
-    cycles: int = 1,
-    extra_lms: int = 0,
-    delta_det: float = 1e-3,
-) -> ExactCycleReport:
-    """Run the cycle structure with exact line minimization on a quadratic.
-
-    Same slot pattern and direction update as the discrete walker — newest
-    direction first and last, candidate = displacement accumulated from the
-    end of the opening line minimization to the end of the closing one —
-    with every line minimization solved in closed form.  ``extra_lms`` runs
-    that many additional line minimizations into the next cycle.
-    """
-    x = np.asarray(x0, dtype=float)
-    dirs = [np.asarray(d, dtype=float).copy() for d in directions]
-    n = len(dirs)
-    positions: list[np.ndarray] = []
-    candidates: list[CandidateRecord] = []
-    accepted_hist: list[np.ndarray] = []
-    alpha = np.zeros(n)
-    total = cycles * (n + 1) + extra_lms
-    lm = 0
-    cyc = 0
-    while lm < total:
-        for c in range(n + 1):
-            if lm >= total:
-                break
-            v = dirs[active_slot(c, n)]
-            t = exact_line_search(objective, x, v)
-            x = x + t * v
-            positions.append(x.copy())
-            lm += 1
-            if c == 0:
-                alpha = np.zeros(n)
-            elif c < n:
-                alpha = alpha + t * v
-            else:
-                candidate = alpha + t * v
-                accept = passes_determinant_guard(dirs[1:], candidate, delta_det)
-                candidates.append(
-                    CandidateRecord(
-                        cycle=cyc,
-                        candidate=candidate.copy(),
-                        accepted=accept,
-                        re_explored=dirs[n - 1].copy(),
-                        prior_accepted=[a.copy() for a in accepted_hist],
-                    )
-                )
-                new_dir = candidate if accept else dirs[0].copy()
-                if accept:
-                    accepted_hist.append(candidate.copy())
-                dirs = [d.copy() for d in dirs[1:]] + [new_dir]
-                alpha = np.zeros(n)
-        cyc += 1
-    return ExactCycleReport(
-        positions=positions,
-        candidates=candidates,
-        final_x=x.copy(),
-        final_directions=[d.copy() for d in dirs],
-        line_minimizations=lm,
-    )

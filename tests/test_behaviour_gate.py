@@ -8,7 +8,8 @@ The noisy runs' bits depend on the OpenBLAS kernel family that numpy's
 ``DYNAMIC_ARCH`` build picks for the CPU (settable with
 ``OPENBLAS_CORETYPE``): the families sum the objective's matrix and dot
 products in different orders.  Their digests are pinned per family, found
-from a fingerprint of ``0.5 * r @ H @ r`` that the gate computes itself.
+from a fingerprint of that objective's values that the gate computes
+itself.
 The bundled scenarios' digests do not depend on the kernel.
 
 The benchmark harness under ``perfbench/`` is imported read-only, for the
@@ -84,18 +85,15 @@ WALKER_DIGESTS = {
 
 
 def kernel_fingerprint() -> str:
-    """First 16 hex digits of the sha256 of ``0.5 * r @ H @ r`` (as
-    ``float.hex``) at 8 seeded points, on the noisy workload's objective."""
+    """First 16 hex digits of the sha256 of the noisy workload's objective
+    ``0.5 * r @ H @ r``, ``r = u - x*`` (as ``float.hex``), at 8 seeded
+    points ``u``."""
     objective = core.make_random_spd_quadratic(
         workloads.NOISY_DIMENSION, seed=workloads.HELD_OUT_SEED
     )
-    H = objective.hessian(None)
-    x_star = objective.known_minimizers[0]
+    shape = objective.known_minimizers[0].shape
     rng = np.random.default_rng(0)
-    values = []
-    for _ in range(8):
-        r = rng.uniform(-2.0, 2.0, x_star.shape) - x_star
-        values.append(float(0.5 * r @ H @ r).hex())
+    values = [objective(rng.uniform(-2.0, 2.0, shape)).hex() for _ in range(8)]
     return hashlib.sha256(",".join(values).encode()).hexdigest()[:16]
 
 

@@ -278,7 +278,11 @@ class TestMain:
         ("fig1_quadratic_pointmass",
          lambda d: d["initial"]["controller"].update(v=[1.0, 0.0, 0.0]),
          "active direction has shape (3,), expected (2,)"),
-    ], ids=["fig2-start", "fig1-steps", "fig1-plant", "fig1-active"])
+        ("fig1_quadratic_pointmass",
+         lambda d: d.update(objective={"name": "sphere", "dimension": 3}),
+         "objective dimension 3 differs from 2 directions"),
+    ], ids=["fig2-start", "fig1-steps", "fig1-plant", "fig1-active",
+            "fig1-objective"])
     def test_disagreeing_dimensions_are_a_usage_error(self, tmp_path, capsys,
                                                       scenario, edit, expected):
         data = cli.scenario_config(scenario).to_dict()
@@ -316,6 +320,23 @@ class TestMain:
         assert "invalid configuration" in err
         assert [line.strip() for line in err.splitlines()[1:]] == [
             f"- missing start key {k}" for k in expected]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("spec, expected", [
+        ({"kind": "adversarial_jam", "bound": 0.5, "grad_bound": 1.0,
+          "dir_bound": 1.0, "theta": 1.0}, "theta must be in (0, 1), got 1.0"),
+        ({"kind": "bounded_random", "bound": 0.01, "seed": 1.7},
+         "seed must be an integer, got 1.7"),
+    ], ids=["jam-theta-1", "seed-float"])
+    def test_bad_noise_parameter_is_a_usage_error(self, tmp_path, capsys,
+                                                  spec, expected):
+        data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()
+        data["noise"] = spec
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
+        assert expected in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_config_file_runs(self, tmp_path, capsys):

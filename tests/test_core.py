@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from directseek import core
+from exact_mode import spd_hessian
 
 
 E = math.e
@@ -94,7 +95,8 @@ class TestDirectionDeterminant:
              np.array([-math.sin(a), math.cos(a)])],
             [1.0, 1.0],
         )
-        assert_allclose(core.direction_determinant(ds), 1.0, atol=1e-12)
+        assert_allclose(core.direction_determinant(ds.directions), 1.0,
+                        atol=1e-12)
 
     def test_collinear_rows(self):
         det = core.direction_determinant(
@@ -119,7 +121,7 @@ class TestDirectionDeterminant:
                  np.array([-math.sin(a), math.cos(a)])],
                 [0.5, 0.5],
             )
-            assert abs(core.direction_determinant(ds) - 1.0) <= 1e-12
+            assert abs(core.direction_determinant(ds.directions) - 1.0) <= 1e-12
 
 
 class TestDirectionSet:
@@ -127,7 +129,8 @@ class TestDirectionSet:
         ds = core.DirectionSet([np.array([1.0, 0.0]), np.array([0.0, 2.0])],
                                [0.5, 0.25])
         assert ds.dimension == 2
-        assert_array_equal(ds.matrix(), np.array([[1.0, 0.0], [0.0, 2.0]]))
+        assert_array_equal(np.array(ds.directions),
+                           np.array([[1.0, 0.0], [0.0, 2.0]]))
         assert ds.step_sizes == [0.5, 0.25]
 
     def test_count_mismatch(self):
@@ -261,7 +264,6 @@ class TestObjectives:
         f = core.make_sphere(3)
         assert f.dimension == 3
         assert f(np.array([1.0, 2.0, 2.0])) == 9.0
-        assert f.known_min_value == 0.0
         assert_array_equal(f.known_minimizers[0], np.zeros(3))
 
     def test_aniso_quadratic_values(self):
@@ -269,8 +271,6 @@ class TestObjectives:
         assert f(np.array([1.5, 0.0])) == 2.25
         assert f(np.array([0.0, 1.0])) == 5.0
         assert f(np.array([0.0, 0.0])) == 0.0
-        assert_array_equal(f.hessian(np.zeros(2)),
-                           np.array([[2.0, 0.0], [0.0, 10.0]]))
 
     def test_rosenbrock_values(self):
         f = core.make_rosenbrock()
@@ -290,41 +290,29 @@ class TestObjectives:
                 fd = _finite_difference_gradient(f, x)
                 assert_allclose(g, fd, rtol=1e-5, atol=1e-5)
 
-    def test_hessians_match_gradient_differences(self):
-        rng = np.random.default_rng(12)
-        h = 1e-6
-        for f in (core.make_sphere(2), core.make_aniso_quadratic(),
-                  core.make_rosenbrock()):
-            for _ in range(5):
-                x = rng.uniform(-2.0, 2.0, size=f.dimension)
-                H = f.hessian(x)
-                assert_array_equal(H, H.T)
-                for i in range(f.dimension):
-                    e = np.zeros(f.dimension)
-                    e[i] = h
-                    col = (f.gradient(x + e) - f.gradient(x - e)) / (2 * h)
-                    assert_allclose(H[:, i], col, rtol=1e-4, atol=1e-4)
-
     def test_random_spd_quadratic(self):
         f = core.make_random_spd_quadratic(dimension=3, seed=5,
                                            eig_range=(1.0, 10.0))
-        H = f.hessian(np.zeros(3))
+        # H is f's matrix bit for bit (TestObjectiveKernels)
+        H = spd_hessian(3, 5)
         assert_allclose(H, H.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(H)
         assert np.all(eigs >= 1.0 - 1e-9)
         assert np.all(eigs <= 10.0 + 1e-9)
         x_star = f.known_minimizers[0]
         assert_allclose(f(x_star), 0.0, atol=1e-14)
-        assert f.known_min_value == 0.0
         # seeded determinism and seed sensitivity
+        points = np.random.default_rng(5).uniform(-2.0, 2.0, (4, 3))
+        values = [f(x) for x in points]
         again = core.make_random_spd_quadratic(dimension=3, seed=5)
-        assert_array_equal(again.hessian(np.zeros(3)), H)
+        assert [again(x) for x in points] == values
+        assert_array_equal(again.known_minimizers[0], x_star)
         other = core.make_random_spd_quadratic(dimension=3, seed=6)
-        assert not np.array_equal(other.hessian(np.zeros(3)), H)
+        assert [other(x) for x in points] != values
 
     def test_gradient_is_linear_for_quadratics(self):
         f = core.make_random_spd_quadratic(dimension=2, seed=9)
-        H = f.hessian(np.zeros(2))
+        H = spd_hessian(2, 9)
         x_star = f.known_minimizers[0]
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -342,12 +330,15 @@ class TestObjectives:
         assert f.dimension == 4
         g = core.get_objective("random_spd_quadratic", dimension=2, seed=42)
         h = core.make_random_spd_quadratic(dimension=2, seed=42)
-        assert_array_equal(g.hessian(np.zeros(2)), h.hessian(np.zeros(2)))
+        assert_array_equal(g.known_minimizers[0], h.known_minimizers[0])
+        x = np.array([0.5, -1.5])
+        assert g(x) == h(x)
 
 
 class TestObjectiveKernels:
     """The quadratic objectives equal their ``@`` / ``np.dot`` forms bit for
-    bit (compared as ``float.hex``, so the sign of zero counts)."""
+    bit (compared as ``float.hex``, so the sign of zero counts), the seeded
+    quadratic on the matrix `exact_mode.spd_hessian` rebuilds."""
 
     @staticmethod
     def points(centre, rng):
@@ -365,11 +356,12 @@ class TestObjectiveKernels:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_random_spd_quadratic_matches_matmul(self, n, seed):
         f = core.make_random_spd_quadratic(dimension=n, seed=seed)
+        H = spd_hessian(n, seed)
         x_star = f.known_minimizers[0]
         rng = np.random.default_rng(seed)
         for x in self.points(x_star, rng):
             r = x - x_star
-            want = float(0.5 * r @ f.hessian(x) @ r)
+            want = float(0.5 * r @ H @ r)
             assert f(x).hex() == want.hex()
             assert f.evaluate(x.tolist()).hex() == want.hex()
 
@@ -436,7 +428,8 @@ class TestDimensionRule:
         assert core.dimension_violations(np.zeros(2), self.AXES, [0.5, 0.5]) == []
         assert core.dimension_violations(
             np.zeros(2), self.AXES, [0.5, 0.5], dimension=2,
-            active=self.AXES[0], zeta=np.zeros(1), zeta_dimension=1) == []
+            active=self.AXES[0], zeta=np.zeros(1), zeta_dimension=1,
+            objective_dimension=2) == []
         assert core.dimension_violations(
             np.zeros(2), self.AXES, [0.5, 0.5], zeta=np.zeros(0),
             zeta_dimension=0) == []
@@ -453,6 +446,9 @@ class TestDimensionRule:
         assert core.dimension_violations(
             np.zeros(2), axes, steps, dimension=4) == [
             "plant dimension 4 differs from 2 directions"]
+        assert core.dimension_violations(
+            np.zeros(2), axes, steps, objective_dimension=3) == [
+            "objective dimension 3 differs from 2 directions"]
         assert core.dimension_violations(
             np.zeros(2), axes, steps, active=np.zeros(3)) == [
             "active direction has shape (3,), expected (2,)"]

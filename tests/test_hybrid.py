@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import directseek
 from directseek import core, hybrid, plants, rsp
-from directseek.core import AlgorithmConfig, StopRule
+from directseek.core import AlgorithmConfig, StopRule, phi_update
 from directseek.hybrid import (
     AutomatonError,
     ControllerState,
@@ -23,7 +23,6 @@ from directseek.hybrid import (
     equivalence_check,
     jump,
     make_controller,
-    phi_update,
     run_closed_loop,
 )
 from directseek.noise import (
@@ -219,8 +218,10 @@ class TestJumpMaps:
 
 class TestPhiUpdate:
     def test_one_rule_for_both_routes(self):
-        # close_cycle (walker and controller) calls the function tested here
-        assert phi_update is core.phi_update
+        # close_cycle (walker and controller) calls the function tested here;
+        # it has one home, which the package re-exports
+        assert directseek.phi_update is phi_update
+        assert not hasattr(hybrid, "phi_update")
 
     def test_independent_candidate_accepted(self):
         out = phi_update(np.array([0.0, 0.5]), np.array([0.0, 0.5]),
@@ -605,7 +606,7 @@ class TestClosedLoop:
         active = np.ones(3) if expected.startswith("active") else None
         xc0 = make_controller(dirs, deltas, 0.5, v=active)
         with pytest.raises(core.ConfigError) as info:
-            run_closed_loop(plant, core.make_sphere(x0.size), PlantState(x0),
+            run_closed_loop(plant, core.make_sphere(len(dirs)), PlantState(x0),
                             xc0, AlgorithmConfig(), StopRule(max_jumps=-1))
         # One error per run: the bad budget and the bad dimension together.
         assert info.value.violations == [
@@ -1240,6 +1241,32 @@ class TestBadStartScale:
     @pytest.mark.parametrize("route", ["walk", "loop"])
     def test_zero_is_legal(self, route):
         getattr(self, route)(0.0, [0.0, 0.0])
+
+
+class TestObjectiveDimension:
+    """`core.check_run` rejects an objective whose dimension differs from
+    the directions' on both routes, before the first measurement."""
+
+    @pytest.mark.parametrize("route", ["walk", "loop"])
+    @pytest.mark.parametrize("objective, x0, expected", [
+        (core.make_sphere(3), [1.5, 0.0],
+         "objective dimension 3 differs from 2 directions"),
+        (core.make_rosenbrock(), [1.5, 0.0, 0.5],
+         "objective dimension 2 differs from 3 directions"),
+    ], ids=["sphere-3-from-2d", "rosenbrock-from-3d"])
+    def test_both_routes_reject_alike(self, route, objective, x0, expected):
+        x0 = np.array(x0)
+        n = x0.size
+        with pytest.raises(core.ConfigError) as info:
+            if route == "walk":
+                rsp.run(objective, x0, AlgorithmConfig(),
+                        StopRule(max_evaluations=200))
+            else:
+                run_closed_loop(ExactPlant(n), objective, PlantState(x0),
+                                make_controller(list(np.eye(n)), [1.0] * n,
+                                                1.0),
+                                AlgorithmConfig(), StopRule(max_jumps=200))
+        assert info.value.violations == [expected]
 
 
 class TestNonFiniteMeasurement:

@@ -263,6 +263,44 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_noise("pink")
 
+    @pytest.mark.parametrize("kind, params, expected", [
+        ("adversarial_jam", {"theta": 1.0}, "theta must be in (0, 1), got 1.0"),
+        ("adversarial_jam", {"theta": 0.0}, "theta must be in (0, 1), got 0.0"),
+        ("adversarial_jam", {"theta": math.nan},
+         "theta must be in (0, 1), got nan"),
+        ("adversarial_jam", {"bound": -0.5},
+         "bound must be a finite number >= 0, got -0.5"),
+        ("adversarial_jam", {"grad_bound": math.inf},
+         "grad_bound must be a finite number >= 0, got inf"),
+        ("adversarial_drag", {"dir_bound": math.nan},
+         "dir_bound must be a finite number >= 0, got nan"),
+        ("adversarial_drag", {"start": 2.5},
+         "start must be an integer, got 2.5"),
+        ("bounded_random", {"bound": math.nan},
+         "bound must be a finite number >= 0, got nan"),
+        ("bounded_random", {"bound": -0.1},
+         "bound must be a finite number >= 0, got -0.1"),
+        ("bounded_random", {"bound": "0.1"},
+         "bound must be a finite number >= 0, got '0.1'"),
+        ("bounded_random", {"seed": 1.7}, "seed must be an integer, got 1.7"),
+        ("bounded_random", {"seed": True}, "seed must be an integer, got True"),
+    ], ids=["jam-theta-1", "jam-theta-0", "jam-theta-nan", "jam-bound-negative",
+            "jam-grad-inf", "drag-dir-nan", "drag-start-float",
+            "random-bound-nan", "random-bound-negative", "random-bound-str",
+            "random-seed-float", "random-seed-bool"])
+    def test_bad_parameters_are_rejected(self, kind, params, expected):
+        valid = {
+            "adversarial_jam": {"bound": 0.5, "grad_bound": 1.0,
+                                "dir_bound": 1.0, "theta": 0.5},
+            "adversarial_drag": {"grad_bound": 1.0, "dir_bound": 1.0,
+                                 "start": 1},
+            "bounded_random": {"bound": 0.1, "seed": np.int64(3)},
+        }[kind]
+        get_noise(kind, **valid)
+        with pytest.raises(ValueError) as info:
+            get_noise(kind, **{**valid, **params})
+        assert str(info.value) == expected
+
     def test_adversarial_kinds_require_bounds(self):
         with pytest.raises(core.ConfigError):
             get_noise("adversarial_jam")

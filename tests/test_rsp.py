@@ -1,6 +1,7 @@
 """Tests for the discrete-route walker: line minimization with sufficient
 decrease, cycle mechanics, step-size laws, the conjugate-direction update,
-and the exact-minimization mode used by the quadratic-termination checks."""
+and the exact-minimization oracle (`exact_mode`) behind the
+quadratic-termination checks."""
 import copy
 import hashlib
 import math
@@ -12,14 +13,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 from directseek import core, rsp
 from directseek.core import AlgorithmConfig, DirectionSet, StopRule
 from directseek.noise import BoundedRandomNoise
+from exact_mode import exact_cycles, exact_line_search, spd_hessian
+
+# f(x) = x1^2 + 5 x2^2 (`core.make_aniso_quadratic`) as (H, x*).
+ANISO = (np.diag([2.0, 10.0]), np.zeros(2))
 
 
 def make_parabola():
     return core.ObjectiveFunction(
         "parabola", 1, lambda x: float(x[0] ** 2),
-        gradient=lambda x: 2.0 * x,
-        hessian=lambda x: np.array([[2.0]]),
-        known_minimizers=[np.zeros(1)], known_min_value=0.0,
+        gradient=lambda x: 2.0 * x, known_minimizers=[np.zeros(1)],
     )
 
 
@@ -526,23 +529,25 @@ class TestDirectionUpdate:
         state = rsp.run(core.make_sphere(2), np.array([1.0, 0.7]),
                         AlgorithmConfig(delta_det=10.0),
                         StopRule(max_cycles=6))
-        assert_array_equal(state.directions.matrix(), np.eye(2))
+        assert_array_equal(np.array(state.directions.directions), np.eye(2))
 
     def test_accepted_candidate_replaces_oldest(self):
         state = rsp.run(core.make_aniso_quadratic(), np.array([1.5, 1.0]),
                         AlgorithmConfig(), StopRule(max_cycles=1), phi0=1.0)
-        assert not np.array_equal(state.directions.matrix(), np.eye(2))
+        assert not np.array_equal(np.array(state.directions.directions),
+                                  np.eye(2))
 
 
 class TestExactLineSearch:
     def test_parabola(self):
-        t = rsp.exact_line_search(make_parabola(), np.array([1.0]),
-                                  np.array([-1.0]))
+        # f(x) = x^2
+        t = exact_line_search(np.array([[2.0]]), np.zeros(1), np.array([1.0]),
+                              np.array([-1.0]))
         assert_allclose(t, 1.0, rtol=1e-14)
 
     def test_already_minimal_along_direction(self):
-        t = rsp.exact_line_search(core.make_aniso_quadratic(),
-                                  np.array([1.5, 0.0]), np.array([0.0, 1.0]))
+        t = exact_line_search(*ANISO, np.array([1.5, 0.0]),
+                              np.array([0.0, 1.0]))
         assert t == 0.0
 
     def test_matches_golden_section(self):
@@ -570,29 +575,22 @@ class TestExactLineSearch:
             obj = core.make_random_spd_quadratic(dimension=2, seed=seed)
             x0 = rng.uniform(-2, 2, size=2)
             d = rng.uniform(-1, 1, size=2)
-            t = rsp.exact_line_search(obj, x0, d)
+            t = exact_line_search(spd_hessian(2, seed),
+                                  obj.known_minimizers[0], x0, d)
             t_ref = golden(lambda s: obj(x0 + s * d), t - 2.0, t + 2.0)
             assert abs(t - t_ref) <= 1e-9
 
-    def test_requires_curvature_oracle(self):
-        plain = core.ObjectiveFunction("plain", 1, lambda x: float(x[0] ** 2))
-        with pytest.raises(ValueError):
-            rsp.exact_line_search(plain, np.array([1.0]), np.array([1.0]))
-
     def test_rejects_non_convex_direction(self):
-        cap = core.ObjectiveFunction(
-            "cap", 1, lambda x: -float(x[0] ** 2),
-            gradient=lambda x: -2.0 * x,
-            hessian=lambda x: np.array([[-2.0]]),
-        )
+        # f(x) = -x^2
         with pytest.raises(ValueError):
-            rsp.exact_line_search(cap, np.array([1.0]), np.array([1.0]))
+            exact_line_search(np.array([[-2.0]]), np.zeros(1), np.array([1.0]),
+                              np.array([1.0]))
 
 
 class TestExactCycles:
     def test_one_cycle_plus_one_minimization_suffices_in_2d(self):
-        report = rsp.exact_cycles(
-            core.make_aniso_quadratic(), np.array([1.5, 1.0]),
+        report = exact_cycles(
+            *ANISO, np.array([1.5, 1.0]),
             [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
             cycles=1, extra_lms=1,
         )
@@ -605,8 +603,9 @@ class TestExactCycles:
         # minimum found when that direction is re-explored at the end
         obj = core.make_random_spd_quadratic(dimension=3, seed=2)
         dirs = [np.eye(3)[i] for i in range(3)]
-        report = rsp.exact_cycles(obj, np.array([1.0, -1.0, 0.5]), dirs,
-                                  cycles=2, delta_det=1e-12)
+        report = exact_cycles(spd_hessian(3, 2), obj.known_minimizers[0],
+                              np.array([1.0, -1.0, 0.5]), dirs,
+                              cycles=2, delta_det=1e-12)
         n = 3
         for rec in report.candidates:
             first = report.positions[rec.cycle * (n + 1)]
@@ -617,12 +616,12 @@ class TestExactCycles:
         for seed in (0, 1, 2, 3):
             for n in (2, 3):
                 obj = core.make_random_spd_quadratic(dimension=n, seed=seed)
-                H = obj.hessian(np.zeros(n))
+                H = spd_hessian(n, seed)
                 rng = np.random.default_rng(100 + seed)
                 x0 = rng.uniform(-2, 2, size=n)
                 dirs = [np.eye(n)[i] for i in range(n)]
-                report = rsp.exact_cycles(obj, x0, dirs, cycles=n,
-                                          delta_det=1e-12)
+                report = exact_cycles(H, obj.known_minimizers[0], x0, dirs,
+                                      cycles=n, delta_det=1e-12)
                 for rec in report.candidates:
                     if not rec.accepted:
                         continue
@@ -639,18 +638,18 @@ class TestExactCycles:
             obj = core.make_random_spd_quadratic(dimension=n, seed=seed)
             rng = np.random.default_rng(200 + seed)
             x0 = rng.uniform(-2, 2, size=n)
-            report = rsp.exact_cycles(obj, x0,
-                                      [np.eye(n)[i] for i in range(n)],
-                                      cycles=n, delta_det=1e-12)
-            assert report.line_minimizations == n * (n + 1)
             x_star = obj.known_minimizers[0]
+            report = exact_cycles(spd_hessian(n, seed), x_star, x0,
+                                  [np.eye(n)[i] for i in range(n)],
+                                  cycles=n, delta_det=1e-12)
+            assert report.line_minimizations == n * (n + 1)
             assert np.linalg.norm(report.final_x - x_star) <= 1e-6
 
     def test_degenerate_candidate_is_rejected(self):
         # starting on an axis through the minimizer makes the cycle
         # displacement collinear with a retained direction
-        report = rsp.exact_cycles(
-            core.make_aniso_quadratic(), np.array([1.5, 1.0]),
+        report = exact_cycles(
+            *ANISO, np.array([1.5, 1.0]),
             [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
             cycles=2,
         )
