@@ -276,9 +276,9 @@ def run_experiment(
     directory receives ``arc.csv``, ``config.json``, ``summary.json`` and,
     for non-zero noise models, ``noise.csv``.  Raises `ConfigError` for a
     key no part of the run reads, a missing start key, a parameter a builder
-    does not take, or (through `core.check_run`) an invalid algorithm, a
-    dense-row count or stop limit of the wrong type or sign, or dimensions
-    that disagree.
+    does not take or a value it rejects, or (through `core.check_run`) an
+    invalid algorithm, a dense-row count or stop limit of the wrong type or
+    sign, or dimensions that disagree.
     """
     try:
         algo = AlgorithmConfig(**config.algorithm)
@@ -323,10 +323,13 @@ def run_experiment(
     )
     elapsed = time.perf_counter() - start
 
-    final_x, final_xc = arc.plant[-1].x, arc.controller[-1]
-    case_counts = {c.value: n for c in hybrid.JumpCase if (n := arc.case.count(c))}
-    warm_z = [arc.controller[i].z for i in arc.jump_rows() if arc.j[i] >= 3]
-    violations_count = sum(1 for a, b in zip(warm_z, warm_z[1:]) if b > a + 1e-12)
+    final_x, final_xc = arc.final_plant.x, arc.final_controller
+    rows = arc.rows
+    counts = np.bincount(rows["case"], minlength=len(hybrid.CASES)).tolist()
+    case_counts = {c.value: counts[i] for i, c in enumerate(hybrid.CASES)
+                   if c is not None and counts[i]}
+    warm_z = rows["z"][(rows["case"] != 0) & (rows["j"] >= 3)]
+    violations_count = int(np.count_nonzero(warm_z[1:] > warm_z[:-1] + 1e-12))
 
     dist: Optional[float] = None
     if objective.known_minimizers:

@@ -691,8 +691,9 @@ def build_registered(what: str, registry: dict, name: str, params: dict):
     """Call ``registry[name](**params)``.
 
     Raises ``KeyError`` listing the known names for an unknown ``name``, and
-    ``ConfigError`` when the builder is missing a required parameter or is
-    given one it does not take.
+    ``ConfigError`` naming the builder when it is missing a required
+    parameter, is given one it does not take, or rejects a value
+    (``ValueError``).
     """
     try:
         builder = registry[name]
@@ -700,7 +701,7 @@ def build_registered(what: str, registry: dict, name: str, params: dict):
         raise KeyError(f"unknown {what} {name!r}; known: {sorted(registry)}") from None
     try:
         return builder(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError([f"{what} {name!r}: {exc}"]) from None
 
 

@@ -26,18 +26,21 @@ the field at identical points.  Both evaluate the field once per distinct
 measured point: a re-measure that lands bitwise on the point measured two
 jumps back reuses its objective value and draws fresh noise.
 
-A run is logged as a `HybridArc`: parallel columns, one row per logged
-hybrid time ``(t, j)``, sharing the loop's never-mutated states, and a
-re-measure that lands bitwise on the point two jumps back shares its state
-or ``x`` array.  Its views build `ArcSample` rows on demand.
+A run is logged as a `HybridArc`: one fixed-width record per logged hybrid
+time ``(t, j)``, packed into a byte buffer as the loop runs and read as a
+numpy structured array after it, plus the final plant and controller
+states.  No per-row state outlives its jump; the arc's views build
+`ArcSample` rows on demand.
 """
 from __future__ import annotations
 
 import math
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -60,6 +63,8 @@ __all__ = [
     "AutomatonError",
     "ControllerState",
     "ArcSample",
+    "CASES",
+    "row_dtype",
     "HybridArc",
     "classify_jump",
     "jump",
@@ -324,7 +329,7 @@ def jump(
 
 @dataclass(slots=True)
 class ArcSample:
-    """One row of a `HybridArc`, as its views return it.
+    """One row of a `HybridArc`, as its views build it.
 
     Jump rows carry the measured value and the jump case; the initial row
     and intra-period flow rows leave both unset.
@@ -333,122 +338,160 @@ class ArcSample:
     t: float
     j: int
     plant: PlantState
-    controller: ControllerState
     measured: Optional[float] = None
     case: Optional[JumpCase] = None
 
 
+# The jump case of each code of the arc's ``case`` column; code 0 marks the
+# initial row and the intra-period rows.
+CASES: tuple[Optional[JumpCase], ...] = (None, *JumpCase)
+_CODES = {c: i for i, c in enumerate(CASES) if c is not None}
+
+
+def row_dtype(n: int, nz: int) -> np.dtype:
+    """The record of one arc row for an ``n``-D position and an
+    ``nz``-element internal state: packed, in native byte order, field for
+    field what `_row_struct` packs."""
+    return np.dtype([
+        ("t", "f8"), ("j", "i8"), ("case", "i1"),
+        ("x", "f8", (n,)), ("zeta", "f8", (nz,)),
+        ("f", "f8"), ("z", "f8"), ("phi", "f8"), ("delta", "f8"),
+        ("k", "i4"), ("q", "i1"), ("p", "i1"), ("m", "i1"), ("v", "i4"),
+    ])
+
+
+def _row_struct(n: int, nz: int) -> struct.Struct:
+    """The packer of one `row_dtype` record; ``x`` and ``zeta`` go in as
+    their arrays' bytes."""
+    return struct.Struct(f"=dqb{8 * n}s{8 * nz}s4di3bi")
+
+
+class _Samples(Sequence):
+    """`ArcSample` rows of an arc at the given row indices, each built on
+    access; a slice is another such view."""
+
+    __slots__ = ("_arc", "_index")
+
+    def __init__(self, arc: "HybridArc", index) -> None:
+        self._arc = arc
+        self._index = index
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Samples(self._arc, self._index[i])
+        row = self._arc.rows[self._index[i]]
+        code = int(row["case"])
+        return ArcSample(
+            float(row["t"]), int(row["j"]),
+            PlantState(row["x"].copy(), row["zeta"].copy()),
+            None if code == 0 else float(row["f"]), CASES[code],
+        )
+
+
 @dataclass
 class HybridArc:
-    """Closed-loop run log as parallel columns: the initial row, dense
-    intra-period rows and one row per jump (``case``/``measured`` are None
-    except on jump rows).  ``plant``/``controller`` hold the loop's
-    never-mutated states: a jump row and the next period's intra-period rows
-    share one controller state, and a jump row whose ``x`` is bitwise the
-    one two jumps back holds that row's ``x`` array (its state, if ``zeta``
-    matches too).  `samples` and `jump_samples` are views that
-    build `ArcSample` rows on each call; the last row is ``plant[-1]``,
-    ``controller[-1]``.
+    """Closed-loop run log: one `row_dtype` record per logged hybrid time
+    ``(t, j)``, for the initial row, the dense intra-period rows and one row
+    per jump, plus the final plant and controller states.
+
+    ``rows`` holds ``t``, ``j``, ``case`` (a code into `CASES`), the plant's
+    ``x`` and ``zeta``, the measured value ``f`` (NaN off the jump rows) and
+    the post-jump controller's ``z``, ``phi``, ``delta``, ``k``, ``q``,
+    ``p``, ``m``, with ``v`` the row of ``directions`` (one row per distinct
+    direction) that holds its active direction; an intra-period row repeats
+    the controller fields of the row before it.  `samples` and `jump_samples` are views that build an
+    `ArcSample` per row on access.
     """
 
-    t: list[float] = field(default_factory=list)
-    j: list[int] = field(default_factory=list)
-    case: list[Optional[JumpCase]] = field(default_factory=list)
-    measured: list[Optional[float]] = field(default_factory=list)
-    plant: list[PlantState] = field(default_factory=list)
-    controller: list[ControllerState] = field(default_factory=list)
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, row_dtype(0, 0)))
+    directions: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    final_plant: Optional[PlantState] = None
+    final_controller: Optional[ControllerState] = None
     stopped: str = ""
 
-    def append(self, t, j, plant, controller, measured=None, case=None) -> None:
-        """Log one row."""
-        self.t.append(t)
-        self.j.append(j)
-        self.plant.append(plant)
-        self.controller.append(controller)
-        self.measured.append(measured)
-        self.case.append(case)
-
-    def jump_rows(self) -> list[int]:
+    def jump_rows(self) -> np.ndarray:
         """Indices of the jump rows, in order."""
-        return [i for i, c in enumerate(self.case) if c is not None]
+        return np.flatnonzero(self.rows["case"])
 
     @property
-    def samples(self) -> list[ArcSample]:
-        return list(map(ArcSample, self.t, self.j, self.plant, self.controller,
-                        self.measured, self.case))
+    def samples(self) -> Sequence[ArcSample]:
+        return _Samples(self, range(len(self.rows)))
 
-    def jump_samples(self) -> list[ArcSample]:
-        return [s for s in self.samples if s.case is not None]
+    def jump_samples(self) -> Sequence[ArcSample]:
+        return _Samples(self, self.jump_rows())
 
     def write_csv(self, fp) -> None:
         """Write the arc as CSV with columns
         ``t, j, case, x0..x{n-1}, f, z, phi, delta, k, q, p, m``.
 
         Floats are emitted with ``repr`` (the shortest round-trip form) so
-        equal runs produce byte-identical files; a `JumpCase` is written as
-        its value and None as an empty field, with no quoting.  Rows are
-        built lazily from the columns, reusing the strings of values that
-        recent rows logged, and written `CHUNK_ROWS` at a time.
+        equal runs produce byte-identical files; the case is written as its
+        label and, off the jump rows, ``case`` and ``f`` are empty, with no
+        quoting.  Rows are formatted `CHUNK_ROWS` records at a time and
+        written as they are made.
         """
-        n = self.plant[0].x.shape[0] if self.plant else 0
+        n = self.rows.dtype["x"].shape[0]
         header = ["t", "j", "case", *(f"x{i}" for i in range(n)),
                   "f", "z", "phi", "delta", "k", "q", "p", "m"]
         fp.write(",".join(header) + "\n")
-        write_lines(fp, map(
-            "{},{},{},{},{}\n".format,
-            map(repr, map(float, self.t)),
-            self.j,
-            ("" if c is None else c.value for c in self.case),
-            _positions(self.plant, self.case),
-            _measured_tail(self.measured, self.controller),
-        ))
+        write_lines(fp, _csv_lines(self.rows))
 
 
-def _positions(plant, case):
-    """Yield each row's ``x0..x{n-1}`` fields.
+_CASE_TEXT = tuple("" if c is None else c.value for c in CASES)
+_CSV_FIELDS = ("t", "j", "case", "x", "f", "z", "phi", "delta", "k", "q", "p", "m")
 
-    Over the initial row and the jump rows, a row whose ``x`` is the array
-    of the one two back reuses that row's string.  Intra-period rows (no
-    case, after the initial row) are formatted on their own and skip that
-    memo.
+
+def _repeats(bits: np.ndarray, back: int) -> np.ndarray:
+    """Whether each row's bits equal those of the row ``back`` rows before
+    it (False for the first ``back`` rows)."""
+    same = np.zeros(len(bits), dtype=bool)
+    equal = bits[back:] == bits[:-back]
+    same[back:] = equal.all(axis=1) if equal.ndim == 2 else equal
+    return same
+
+
+def _csv_lines(rows: np.ndarray):
+    """Yield the CSV line of each record of ``rows``, reading `CHUNK_ROWS`
+    records at a time.
+
+    A value whose bits equal those of one already formatted reuses its
+    string: ``x`` when it is the ``x`` two rows back (a re-measure), ``z``,
+    ``phi`` and ``delta`` when they are the row before's, and ``z`` when it
+    is the row's ``f``.  Equal bits have equal reprs, so ``-0.0`` keeps its
+    sign.
     """
-    x1 = x2 = None
-    s1 = s2 = ""
-    for xi, c in zip(plant, case):
-        if c is None and x1 is not None:  # an intra-period row
-            yield ",".join(map(repr, xi.x.tolist()))
-            continue
-        s = s2 if xi.x is x2 else ",".join(map(repr, xi.x.tolist()))
-        x2, s2, x1, s1 = x1, s1, xi.x, s
-        yield s
+    def bits(name):
+        return rows[name].view(np.int64)
 
-
-def _measured_tail(measured, controller):
-    """Yield each row's ``f,z,phi,delta,k,q,p,m`` fields.
-
-    Each float object is formatted once: a ``z``, ``phi`` or ``delta`` that
-    is the previous row's object reuses its string, and a ``z`` that is the
-    row's measured value reuses the ``f`` string.  Reuse goes by identity
-    only, never by equality: ``0.0 == -0.0``, but their reprs differ.
-    """
-    z = phi = delta = None
-    z_s = phi_s = delta_s = ""
-    for y, xc in zip(measured, controller):
-        f_s = "" if y is None else repr(float(y))
-        if xc.z is not z:
-            z = xc.z
-            z_s = f_s if z is y else repr(float(z))
-        if xc.phi is not phi:
-            phi = xc.phi
-            phi_s = repr(float(phi))
-        if xc.delta is not delta:
-            delta = xc.delta
-            delta_s = repr(float(delta))
-        yield f"{f_s},{z_s},{phi_s},{delta_s},{xc.k},{xc.q},{xc.p},{xc.m}"
+    reuse = (_repeats(bits("x"), 2),
+             *(_repeats(bits(name), 1) for name in ("z", "phi", "delta")),
+             (bits("z") == bits("f")) & (rows["case"] != 0))
+    x1 = x2 = z_s = phi_s = delta_s = ""
+    for a in range(0, len(rows), CHUNK_ROWS):
+        block = slice(a, a + CHUNK_ROWS)
+        for (t, j, c, x, f, z, phi, delta, k, q, p, m,
+             rx, rz, rphi, rdelta, zf) in zip(
+                *(rows[name][block].tolist() for name in _CSV_FIELDS),
+                *(mask[block].tolist() for mask in reuse)):
+            f_s = repr(f) if c else ""
+            x_s = x2 if rx else ",".join(map(repr, x))
+            x2, x1 = x1, x_s
+            if not rz:
+                z_s = f_s if zf else repr(z)
+            if not rphi:
+                phi_s = repr(phi)
+            if not rdelta:
+                delta_s = repr(delta)
+            yield (f"{t!r},{j},{_CASE_TEXT[c]},{x_s},{f_s},{z_s},{phi_s},"
+                   f"{delta_s},{k},{q},{p},{m}\n")
 
 
 # Rows per `write_lines` chunk, about 22 KB on a 4-D arc.  Under tracemalloc
-# a 20k-row `write_csv` peaked at ~80 KB with 128 rows and ~600 KB with 1024.
+# a 20k-row `write_csv` peaked at ~240 KB with 128 rows (most of it the reuse
+# masks) and ~1.2 MB with 1024.
 CHUNK_ROWS = 128
 
 
@@ -484,13 +527,11 @@ def run_closed_loop(
     the plant's dense rows ``i * (rows // (F + 1)) - 1``, ``i = 1..F``: with
     evenly spaced rows (point mass) at ``(j + i / (F + 1)) * tau_star`` in
     period ``j``, each as the plant's ``row_state`` of it (the Dubins
-    heading wrapped as at a jump).  Each row is appended to the arc's
-    columns; rows share the loop's states, and ``xi0``/``xc0`` are copied
-    once on entry.  A re-measure (D3, D5) whose ``x`` is bitwise the one
-    logged two jumps back logs that state again, or, under a new heading,
-    a state sharing its ``x`` array, and reuses that jump's objective value
-    (the start is never measured, so a re-measure there calls the
-    objective); noise is drawn at every jump.
+    heading wrapped as at a jump).  Each row is packed as one `row_dtype`
+    record, and ``xi0``/``xc0`` are copied once on entry.  A re-measure
+    (D3, D5) whose ``x`` is bitwise the one logged two jumps back reuses
+    that jump's objective value (the start is never measured, so a
+    re-measure there calls the objective); noise is drawn at every jump.
 
     Raises `core.ConfigError` on inputs that break `core.check_run`, as
     `rsp.run` does; its budgets include ``F``, its scales the start ``phi``,
@@ -510,12 +551,18 @@ def run_closed_loop(
 
     xi = xi0.copy()
     xc = xc0.copy()
-    arc = HybridArc()
-    arc.append(0.0, 0, xi, xc)
-    # x bytes of the states logged one and two jumps back, the latter, and
-    # their objective values (None for the start, which is not measured).
-    key1, key2, back2 = xi.x.tobytes(), None, None
+    n, nz = xi.x.shape[0], xi.zeta.shape[0]
+    pack = _row_struct(n, nz).pack
+    # The x bytes of the points logged one and two jumps back and their
+    # objective values (None for the start, which is not measured).
+    key1, key2 = xi.x.tobytes(), None
     f1 = f2 = None
+    # The active direction and its row in ``directions``, which holds each
+    # distinct direction once, keyed by its bytes in insertion order.
+    v, vi = xc.v, 0
+    directions = {v.tobytes(): vi}
+    buf = bytearray(pack(0.0, 0, 0, key1, xi.zeta.tobytes(), math.nan, xc.z,
+                         xc.phi, xc.delta, xc.k, xc.q, xc.p, xc.m, vi))
     j = cycles = 0
     cap = stop.measurement_cap
     d5 = JumpCase.D5  # read on every jump; a local is cheaper than the class
@@ -525,16 +572,11 @@ def run_closed_loop(
         target = (xc.p * xc.delta) * xc.v
         schedule, _predicted = plant.steer(xi, target, cfg.tau_star)
         collect: Optional[list] = [] if flow_samples_per_period > 0 else None
-        last = xi
         xi = plant.integrate(xi, schedule, cfg.tau_star, collect)
         key = xi.x.tobytes()
-        if key == key2:  # a re-measure landed on the point two jumps back
-            xi = (back2 if xi.zeta.tobytes() == back2.zeta.tobytes()
-                  else PlantState(back2.x, xi.zeta))
-            f = f2
-        else:
-            f = None
-        back2, key2, key1 = last, key1, key
+        # A re-measure that lands on the point two jumps back reuses its value.
+        f = f2 if key == key2 else None
+        key2, key1 = key1, key
         if collect is not None:
             stride = len(collect) // (flow_samples_per_period + 1)
             if stride == 0:
@@ -545,8 +587,10 @@ def run_closed_loop(
                 )
             for i in range(1, flow_samples_per_period + 1):
                 t_rel, y_state = collect[i * stride - 1]
-                arc.append(j * cfg.tau_star + t_rel, j, plant.row_state(y_state),
-                           xc)
+                row = plant.row_state(y_state)
+                buf += pack(j * cfg.tau_star + t_rel, j, 0, row.x.tobytes(),
+                            row.zeta.tobytes(), math.nan, xc.z, xc.phi,
+                            xc.delta, xc.k, xc.q, xc.p, xc.m, vi)
 
         j += 1
         y = float(objective(xi.x)) if f is None else f
@@ -557,14 +601,23 @@ def run_closed_loop(
             raise EvaluationError(xi.x, y)
         case = classify_jump(xc, y)
         xc = jump(xc, y, cfg, case=case)
-        arc.append(j * cfg.tau_star, j, xi, xc, y, case)
+        if xc.v is not v:
+            v = xc.v
+            vi = directions.setdefault(v.tobytes(), len(directions))
+        buf += pack(j * cfg.tau_star, j, _CODES[case], key, xi.zeta.tobytes(), y,
+                    xc.z, xc.phi, xc.delta, xc.k, xc.q, xc.p, xc.m, vi)
         if case is d5 and xc.k == 0:
             cycles += 1
         elif j != cap:
             continue
         stopped = stop_reason(stop, j, cycles, xc.phi)
-    arc.stopped = stopped
-    return arc
+    return HybridArc(
+        rows=np.frombuffer(buf, row_dtype(n, nz)),
+        directions=np.frombuffer(b"".join(directions)).reshape(-1, n),
+        final_plant=xi,
+        final_controller=xc,
+        stopped=stopped,
+    )
 
 
 @dataclass
@@ -613,28 +666,30 @@ def equivalence_check(
     Every report also gives ``first_case_split``.
     """
     rows = arc.jump_rows()
-    hybrid_points = [arc.plant[i].x for i in rows]
-    rsp_points = [r.x for r in rsp_log]
-    m = min(len(hybrid_points), len(rsp_points))
-    split = next((i for i, (row, r) in enumerate(zip(rows, rsp_log))
-                  if arc.case[row] is not WALKER_CASES[(r.kind, r.accepted)]),
-                 None)
+    m = min(len(rows), len(rsp_log))
+    split = next((i for i, (c, r) in enumerate(zip(arc.rows["case"][rows].tolist(),
+                                                   rsp_log))
+                  if CASES[c] is not WALKER_CASES[(r.kind, r.accepted)]), None)
     if m < min_points:
         return EquivalenceReport(
             ok=False, compared=m, max_abs_error=math.inf,
             detail=f"only {m} comparable measurements (need >= {min_points})",
             first_case_split=split,
         )
-    max_err = 0.0
-    for i in range(m):
-        err = float(np.max(np.abs(hybrid_points[i] - rsp_points[i])))
-        if err > tol:
-            return EquivalenceReport(
-                ok=False, compared=m, max_abs_error=err, first_divergence=i,
-                detail=f"measurement {i}: closed-loop {hybrid_points[i].tolist()} "
-                f"vs discrete {rsp_points[i].tolist()} (|err| = {err:.3e} > {tol})",
-                first_case_split=split,
-            )
-        max_err = max(max_err, err)
+    hybrid_points = arc.rows["x"][rows[:m]]
+    rsp_points = np.array([r.x for r in islice(rsp_log, m)]).reshape(
+        hybrid_points.shape)
+    errors = np.abs(hybrid_points - rsp_points).max(axis=1, initial=0.0)
+    diverged = np.flatnonzero(errors > tol)
+    if len(diverged):
+        i = int(diverged[0])
+        err = float(errors[i])
+        return EquivalenceReport(
+            ok=False, compared=m, max_abs_error=err, first_divergence=i,
+            detail=f"measurement {i}: closed-loop {hybrid_points[i].tolist()} "
+            f"vs discrete {rsp_points[i].tolist()} (|err| = {err:.3e} > {tol})",
+            first_case_split=split,
+        )
+    max_err = float(errors.max(initial=0.0))
     return EquivalenceReport(ok=True, compared=m, max_abs_error=max_err,
                              first_case_split=split)

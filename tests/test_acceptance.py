@@ -213,9 +213,10 @@ def test_criterion_08_closed_loop_semantics(fig1_run, fig2_run):
     for config, arc in ((fig1_run[0], fig1_run[1]), (fig2_run[0], fig2_run[1])):
         cfg = AlgorithmConfig(**config.algorithm)
         jumps = list(arc.jump_samples())
-        for prev, nxt in zip(jumps, jumps[1:]):
-            c = prev.controller
-            move = c.p * c.delta * np.asarray(c.v)
+        rows = arc.rows[arc.jump_rows()]
+        assert len(rows) == len(jumps)
+        for prev, nxt, c in zip(jumps, jumps[1:], rows):
+            move = int(c["p"]) * float(c["delta"]) * arc.directions[c["v"]]
             err = np.linalg.norm(nxt.plant.x - prev.plant.x - move)
             assert err <= 1e-6 * max(1.0, float(np.linalg.norm(move)))
         for sample in jumps:

@@ -1,7 +1,8 @@
 """The behaviour gate: full sha256 digests of the byte-reproducible
 artifacts of both bundled scenarios and of the ``controller_exact_noisy``
-benchmark run at its held-out seed, and of the ``walker_noisy`` iterate log
-at that seed.  A change that moves one byte of them changes what the
+benchmark run at its held-out seed, of both scenarios' ``arc.csv`` with
+dense intra-period rows, and of the ``walker_noisy`` iterate log at the
+held-out seed.  A change that moves one byte of them changes what the
 program computes.
 
 The noisy runs' bits depend on the OpenBLAS kernel family that numpy's
@@ -42,6 +43,16 @@ DIGESTS = {
         "config.json": "d03f0d0a4eaa236fc44fc2b8484fce2766ad8a9b00181921f5e8e87e26969559",
         "noise.csv": "6d58de1fcc1476d94ef87553d8cf578d8a34ae891773aab9e0785db75772d1ff",
     },
+}
+
+# arc.csv digests of the bundled scenarios with dense intra-period rows:
+# name -> (flow_samples_per_period, jump budget, digest).  fig1 logs 8,001
+# rows and fig2 6,001; neither depends on the kernel.
+DENSE_ROW_DIGESTS = {
+    "fig1_quadratic_pointmass": (
+        3, 2000, "0cda8f48c797b58f7ee0c3297b20a37b22aa76410bb0d1b43f82f35eca63d970"),
+    "fig2_rosenbrock_dubins": (
+        2, 2000, "cdf400ab58b58fad1617eb153dfeeaba8a83b13a75f802b463f0259c3c17a645"),
 }
 
 # Kernel fingerprint -> family.  Recorded with numpy 2.4.6 (OpenBLAS 0.3.31)
@@ -141,6 +152,18 @@ def test_artifact_digests(name, tmp_path):
         if path.name != "summary.json"
     }
     assert written == expected_digests(name)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_ROW_DIGESTS))
+def test_dense_row_digests(name, tmp_path):
+    samples, jumps, expected = DENSE_ROW_DIGESTS[name]
+    config = cli.scenario_config(name)
+    config.flow_samples_per_period = samples
+    config.stop["max_jumps"] = jumps
+    cli.run_experiment(config, str(tmp_path))
+    data = (tmp_path / "arc.csv").read_bytes()
+    assert data.count(b"\n") == 2 + jumps * (samples + 1)
+    assert hashlib.sha256(data).hexdigest() == expected
 
 
 def test_walker_log_digest():

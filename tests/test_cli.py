@@ -124,9 +124,10 @@ class TestRunExperiment:
         arc, summary = cli.run_experiment(config, None)
         assert summary.jumps == 200
         assert summary.final_x == [float(v) for v in
-                                   arc.plant[-1].x]
+                                   arc.final_plant.x]
+        assert summary.final_x == arc.rows["x"][-1].tolist()
         assert summary.distance_to_minimizer == pytest.approx(
-            float(np.linalg.norm(arc.plant[-1].x))
+            float(np.linalg.norm(arc.final_plant.x))
         )
         assert sum(summary.case_counts.values()) == 200
 
@@ -337,6 +338,31 @@ class TestMain:
         out_dir = tmp_path / "out"
         assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
         assert expected in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("scenario, section, spec, expected", [
+        ("fig1_quadratic_pointmass", "noise",
+         {"kind": "adversarial_jam", "bound": 0.5, "grad_bound": 1.0,
+          "dir_bound": 1.0, "theta": 1.0},
+         "noise model 'adversarial_jam': theta must be in (0, 1), got 1.0"),
+        ("fig2_rosenbrock_dubins", "plant",
+         {"kind": "dubins", "v_max": -1.0, "u_max": 80.0},
+         "plant 'dubins': v_max and u_max must be positive"),
+        ("fig1_quadratic_pointmass", "objective",
+         {"name": "random_spd_quadratic", "dimension": 2, "seed": -1},
+         "objective 'random_spd_quadratic': expected non-negative integer"),
+    ], ids=["noise", "plant", "objective"])
+    def test_a_rejected_value_names_its_section(self, tmp_path, capsys,
+                                                scenario, section, spec,
+                                                expected):
+        data = cli.scenario_config(scenario).to_dict()
+        data[section] = spec
+        path = tmp_path / "value.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid configuration:", f"  - {expected}"]
         assert not out_dir.exists()
 
     def test_config_file_runs(self, tmp_path, capsys):

@@ -260,6 +260,24 @@ class TestObjectives:
         with pytest.raises(KeyError, match="sphere"):
             core.get_objective("nope")
 
+    def test_a_rejected_value_names_its_builder(self):
+        def build(size):
+            if size < 1:
+                raise ValueError(f"size must be >= 1, got {size}")
+            return size
+
+        registry = {"box": build}
+        assert core.build_registered("widget", registry, "box", {"size": 2}) == 2
+        with pytest.raises(core.ConfigError) as info:
+            core.build_registered("widget", registry, "box", {"size": 0})
+        assert info.value.violations == ["widget 'box': size must be >= 1, got 0"]
+        # A parameter the builder does not take is reported the same way.
+        with pytest.raises(core.ConfigError) as info:
+            core.build_registered("widget", registry, "box", {"width": 1})
+        [violation] = info.value.violations
+        assert violation.startswith("widget 'box': ")
+        assert violation.endswith("unexpected keyword argument 'width'")
+
     def test_sphere(self):
         f = core.make_sphere(3)
         assert f.dimension == 3

@@ -3,9 +3,11 @@ maps, the direction-update function, the closed loop, and the
 probe-for-probe agreement between the two search realizations."""
 import copy
 import csv
+import gc
 import hashlib
 import io
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -284,11 +286,12 @@ class TestMakeController:
 class TestControllerStateSlots:
     """`ControllerState` is slot-only; `_next` clones it field by field."""
 
-    def test_states_have_no_dict(self):
+    def test_states_have_no_dict(self, monkeypatch):
         assert not hasattr(controller(), "__dict__")
+        jumps = recorded_jumps(monkeypatch)
         arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 300)
-        assert len(arc.controller) == 301
-        for xc in arc.controller:
+        assert len(jumps) == 300
+        for xc in [arc.final_controller, *(new for _, _, new in jumps)]:
             assert type(xc) is ControllerState
             assert not hasattr(xc, "__dict__")
 
@@ -347,28 +350,33 @@ def closed_loop(objective, x0, max_jumps, cfg=None, deltas=(0.5, 0.5),
     )
 
 
-def shared_rows(arc) -> int:
-    """Assert the arc's re-measure sharing rule and return the number of
-    shared rows.
+def recorded_jumps(monkeypatch) -> list:
+    """Wrap `hybrid.jump`, which the loop calls through the module, so that
+    each call appends ``(case, state before, state after)`` to the list
+    returned."""
+    calls = []
+    original = hybrid.jump
 
-    Over the initial row and the jump rows, a row shares exactly when its
-    ``x`` bytes equal those of the row two jumps back: it then holds that
-    row's ``x`` array, and is that row's state when the ``zeta`` bytes
-    match too.  Every other row holds an ``x`` array no earlier row holds.
-    """
-    states = [arc.plant[0]] + [arc.plant[i] for i in arc.jump_rows()]
-    earlier: set[int] = set()
-    shared = 0
-    for j, xi in enumerate(states):
-        back = states[j - 2] if j >= 2 else None
-        if back is not None and xi.x.tobytes() == back.x.tobytes():
-            assert xi.x is back.x
-            assert (xi is back) == (xi.zeta.tobytes() == back.zeta.tobytes())
-            shared += 1
-        else:
-            assert id(xi.x) not in earlier
-        earlier.add(id(xi.x))
-    return shared
+    def recording(xc, y, cfg, case=None):
+        new = original(xc, y, cfg, case=case)
+        calls.append((case, xc, new))
+        return new
+
+    monkeypatch.setattr(hybrid, "jump", recording)
+    return calls
+
+
+def jump_cases(arc) -> list:
+    """The `JumpCase` of each jump row, in order."""
+    return [hybrid.CASES[c] for c in arc.rows["case"][arc.jump_rows()].tolist()]
+
+
+def shared_rows(arc) -> int:
+    """The number of re-measures that land bitwise on the point logged two
+    jumps back: over the initial row and the jump rows, the rows whose
+    ``x`` bytes equal those of the row two before."""
+    x = arc.rows["x"][[0, *arc.jump_rows()]]
+    return sum(a.tobytes() == b.tobytes() for a, b in zip(x, x[2:]))
 
 
 def check_grammar(cases):
@@ -444,15 +452,17 @@ class TestClosedLoop:
         for s in samples:
             assert s.t == s.j * cfg.tau_star
         assert [s.j for s in samples] == list(range(1, 81))
-        ts = [s.t for s in arc.samples]
+        ts = arc.rows["t"].tolist()
         assert all(t2 >= t1 for t1, t2 in zip(ts, ts[1:]))
 
     def test_plant_moves_by_the_commanded_displacement(self):
         arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 120)
-        for prev, nxt in zip(arc.samples, arc.samples[1:]):
-            xc = prev.controller
-            want = prev.plant.x + xc.p * xc.delta * xc.v
-            assert_allclose(nxt.plant.x, want, atol=1e-9)
+        rows = arc.rows
+        assert len(rows) == 121
+        for prev, nxt in zip(rows, rows[1:]):
+            v = arc.directions[prev["v"]]
+            want = prev["x"] + int(prev["p"]) * float(prev["delta"]) * v
+            assert_allclose(nxt["x"], want, atol=1e-9)
 
     def test_case_sequence_follows_the_line_min_grammar(self):
         for obj, x0 in [
@@ -471,26 +481,33 @@ class TestClosedLoop:
             for _ in range(34):
                 x0 = rng.uniform(-2.0, 2.0, size=2)
                 arc = closed_loop(obj, x0, 150)
-                zs = [s.controller.z for s in arc.jump_samples()
-                      if s.j >= 3]
+                jumps = arc.rows[arc.jump_rows()]
+                zs = jumps["z"][jumps["j"] >= 3].tolist()
                 for z1, z2 in zip(zs, zs[1:]):
                     assert z2 <= z1 + 1e-12
 
     def test_nominal_phi_never_increases(self):
         arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 400)
-        phis = [s.controller.phi for s in arc.jump_samples()]
+        phis = arc.rows["phi"][arc.jump_rows()].tolist()
         for a, b in zip(phis, phis[1:]):
             assert b <= a
 
-    def test_robust_phi_floor_and_determinant(self):
+    def test_robust_phi_floor_and_determinant(self, monkeypatch):
         cfg = AlgorithmConfig(phi_min=0.05)
+        jumps = recorded_jumps(monkeypatch)
         arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 400,
                           cfg=cfg)
-        for s in arc.jump_samples():
-            assert s.controller.phi >= cfg.phi_min
-            if s.case is JumpCase.D5 and s.controller.k == 0:
-                det = abs(np.linalg.det(np.array(s.controller.dirs)))
-                assert det >= cfg.delta_det
+        rows = arc.rows[arc.jump_rows()]
+        assert (rows["phi"] >= cfg.phi_min).all()
+        closes = [new for case, _, new in jumps
+                  if case is JumpCase.D5 and new.k == 0]
+        assert len(closes) == np.count_nonzero(
+            (rows["case"] == hybrid.CASES.index(JumpCase.D5)) & (rows["k"] == 0))
+        assert closes
+        for new in closes:
+            assert new.phi >= cfg.phi_min
+            det = abs(np.linalg.det(np.array(new.dirs)))
+            assert det >= cfg.delta_det
 
     def test_zero_frame_stalls_the_plant(self):
         xc0 = make_controller([np.zeros(2), np.zeros(2)], [0.0, 0.0],
@@ -505,7 +522,8 @@ class TestClosedLoop:
     def test_quadratic_converges(self):
         arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 2000,
                           deltas=(0.05, 0.05), phi=0.05)
-        final = arc.plant[-1].x
+        final = arc.final_plant.x
+        assert_array_equal(final, arc.rows["x"][-1])
         assert np.linalg.norm(final) <= 0.05
 
     def test_intra_period_samples(self):
@@ -538,18 +556,26 @@ class TestClosedLoop:
             closed_loop(core.make_sphere(2), [1.0, 1.0], 5,
                         flow_samples_per_period=1)
 
-    def test_arc_shares_states_but_not_between_jumps(self):
+    def test_arc_copies_its_start_and_each_jump_makes_a_new_state(
+            self, monkeypatch):
         xi0 = PlantState(np.array([1.5, 0.0]))
         xc0 = make_controller(AXES, [0.5, 0.5], 0.5)
+        jumps = recorded_jumps(monkeypatch)
         arc = run_closed_loop(ExactPlant(), core.make_aniso_quadratic(),
                               xi0, xc0, AlgorithmConfig(),
                               StopRule(max_jumps=300))
-        jumps = arc.jump_samples()
-        assert len(jumps) == 300
-        assert len({id(s.controller) for s in jumps}) == 300
+        assert len(arc.jump_samples()) == 300
+        assert len({id(new) for _, _, new in jumps}) == 300
+        assert jumps[0][1] is not xc0
+        assert arc.final_controller is jumps[-1][2]
         assert shared_rows(arc) > 0
-        assert arc.samples[0].controller is not xc0
-        assert arc.samples[0].plant is not xi0
+        start = run_closed_loop(ExactPlant(), core.make_aniso_quadratic(),
+                                xi0, xc0, AlgorithmConfig(),
+                                StopRule(max_jumps=0))
+        assert start.final_plant is not xi0 and start.final_plant.x is not xi0.x
+        assert start.final_controller is not xc0
+        assert start.final_controller.v is not xc0.v
+        assert start.rows["x"].tobytes() == xi0.x.tobytes()
 
     def test_classify_and_jump_called_once_per_jump(self, monkeypatch):
         # Layer tracing wraps these module attributes; the loop must call
@@ -630,7 +656,7 @@ class TestClosedLoop:
 
     def test_zero_jump_budget_runs(self):
         arc = closed_loop(core.make_sphere(2), [1.0, 1.0], 0)
-        assert (len(arc.t), arc.stopped) == (1, "max_jumps")
+        assert (len(arc.rows), arc.stopped) == (1, "max_jumps")
 
     @pytest.mark.parametrize("limits, jumps, stopped", [
         (dict(max_evaluations=30), 30, "max_evaluations"),
@@ -644,7 +670,7 @@ class TestClosedLoop:
                               PlantState(np.ones(2)),
                               make_controller(AXES, [0.1, 0.1], 0.5),
                               AlgorithmConfig(), StopRule(**limits))
-        assert (arc.j[-1], arc.stopped) == (jumps, stopped)
+        assert (arc.rows["j"][-1], arc.stopped) == (jumps, stopped)
 
     @pytest.mark.parametrize("limits, measurements, stopped", [
         (dict(max_evaluations=30), 30, "max_evaluations"),
@@ -671,7 +697,7 @@ class TestClosedLoop:
         state = rsp.run(core.make_sphere(2), x0, AlgorithmConfig(), stop,
                         directions=core.DirectionSet(AXES, [1.0, 1.0]),
                         phi0=1.0)
-        assert (arc.j[-1], arc.stopped) == (measurements, stopped)
+        assert (arc.rows["j"][-1], arc.stopped) == (measurements, stopped)
         assert (state.evaluations, state.stopped) == (measurements, stopped)
         report = equivalence_check(arc, state.iterate_log,
                                    min_points=measurements)
@@ -688,7 +714,59 @@ class TestClosedLoop:
             StopRule(max_jumps=10_000, phi_threshold=0.01),
         )
         assert arc2.stopped == "phi_threshold"
-        assert arc2.controller[-1].phi < 0.01
+        assert arc2.final_controller.phi < 0.01
+        assert arc2.rows["phi"][-1] == arc2.final_controller.phi
+
+
+class TestArcRecords:
+    """The arc keeps one packed record per row, the table of active
+    directions and the final states, and builds no object per row."""
+
+    @pytest.mark.parametrize("n, nz", [(1, 0), (2, 1), (4, 0), (7, 3)])
+    def test_the_packer_writes_the_record(self, n, nz):
+        assert hybrid._row_struct(n, nz).size == hybrid.row_dtype(n, nz).itemsize
+
+    def test_the_arc_holds_no_per_row_objects(self, monkeypatch):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 2000)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            nbytes, rows = arc.rows.nbytes, len(arc.rows)
+            itemsize = arc.rows.dtype.itemsize
+            directions = arc.directions.nbytes
+            built = []
+            real = hybrid.ArcSample
+            monkeypatch.setattr(hybrid, "ArcSample",
+                                lambda *args: built.append(args) or real(*args))
+            assert (len(arc.samples), len(arc.jump_samples())) == (2001, 2000)
+            assert built == []
+            assert arc.samples[-1].plant.x.tolist() == arc.final_plant.x.tolist()
+            assert len(built) == 1
+            del arc
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (rows, nbytes) == (2001, 2001 * itemsize)
+        # The records, the direction table, the final states and a small
+        # slack; a state per row would hold several times the records.
+        assert nbytes + directions <= retained <= 2 * nbytes
+
+    def test_directions_hold_each_active_direction(self, monkeypatch):
+        jumps = recorded_jumps(monkeypatch)
+        arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 400)
+        rows = arc.rows
+        active = [xc.v for _, _, xc in jumps]
+        assert_array_equal(arc.directions[rows["v"][1:]], active)
+        assert_array_equal(arc.directions[rows["v"][0]], AXES[1])
+        # One row per distinct direction; the active one moves at D5 only.
+        assert len({d.tobytes() for d in arc.directions}) == len(arc.directions)
+        assert len(arc.directions) < len(active)
+        changed = np.flatnonzero(np.diff(rows["v"])) + 1
+        assert len(changed) > 0
+        assert (rows["case"][changed] == hybrid.CASES.index(JumpCase.D5)).all()
 
 
 class TestArcCsv:
@@ -708,24 +786,24 @@ class TestArcCsv:
         assert float(row[3]) == sample.plant.x[0]
         assert float(row[4]) == sample.plant.x[1]
         assert float(row[5]) == sample.measured
-        assert float(row[7]) == sample.controller.phi
+        assert float(row[7]) == arc.rows["phi"][17]
         assert rows[1][2] == ""
         assert rows[1][5] == ""
 
 
 def csv_module_write(arc, fp) -> None:
     """The oracle for `HybridArc.write_csv`: one `csv.writer` row per arc
-    row, floats through ``float``, a `JumpCase` and None as the csv module
-    writes them."""
-    n = arc.plant[0].x.shape[0] if arc.plant else 0
+    row, read through its `ArcSample` and its record, floats through
+    ``float``, a `JumpCase` and None as the csv module writes them."""
+    n = arc.rows.dtype["x"].shape[0]
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["t", "j", "case"] + [f"x{i}" for i in range(n)]
                     + ["f", "z", "phi", "delta", "k", "q", "p", "m"])
     writer.writerows(
-        [float(t), j, case, *xi.x.tolist(), y,
-         float(xc.z), float(xc.phi), float(xc.delta), xc.k, xc.q, xc.p, xc.m]
-        for t, j, case, y, xi, xc in zip(arc.t, arc.j, arc.case, arc.measured,
-                                         arc.plant, arc.controller)
+        [float(s.t), s.j, s.case, *s.plant.x.tolist(), s.measured,
+         float(r["z"]), float(r["phi"]), float(r["delta"]),
+         int(r["k"]), int(r["q"]), int(r["p"]), int(r["m"])]
+        for s, r in zip(arc.samples, arc.rows)
     )
 
 
@@ -738,20 +816,22 @@ def assert_writes_like_oracle(arc) -> str:
 
 
 def signed_zero_arc() -> hybrid.HybridArc:
-    """Rows whose ``x``, ``f`` and ``z`` hold ``0.0`` and ``-0.0``: equal
-    floats with different reprs, as fresh objects and as shared ones."""
-    arc = hybrid.HybridArc()
-    zero, neg = 0.0, -0.0
-    arc.append(0.0, 0, PlantState(np.array([0.0, -0.0])), controller(z=neg))
-    shared = controller(z=zero, phi=neg, delta=-0.0)
-    arc.append(0.1, 1, PlantState(np.array([-0.0, 0.0])), shared, neg,
-               JumpCase.D2)
-    arc.append(0.15, 1, PlantState(np.array([-0.0, -0.0])), shared)
-    arc.append(0.2, 2, PlantState(np.array([0.0, 0.0])),
-               controller(z=neg, phi=neg, delta=0.0), neg, JumpCase.D3)
-    arc.append(0.3, 3, PlantState(np.array([1e-300, -5e-324])),
-               controller(z=zero, delta=0.0), -0.0, JumpCase.D1)
-    return arc
+    """Rows whose ``x``, ``f``, ``z``, ``phi`` and ``delta`` hold ``0.0``
+    and ``-0.0``: equal floats with different reprs, next to each other
+    and two rows apart."""
+    zero, neg, nan = 0.0, -0.0, math.nan
+    d2, d3, d1 = (hybrid.CASES.index(c) for c in (JumpCase.D2, JumpCase.D3,
+                                                   JumpCase.D1))
+    rows = np.array([
+        # t, j, case, x, zeta, f, z, phi, delta, k, q, p, m, v
+        (0.0, 0, 0, [0.0, -0.0], [], nan, neg, 1.0, 0.5, 0, 0, 1, 0, 0),
+        (0.1, 1, d2, [-0.0, 0.0], [], neg, zero, neg, -0.0, 0, 0, 1, 0, 0),
+        (0.15, 1, 0, [-0.0, -0.0], [], nan, zero, neg, -0.0, 0, 0, 1, 0, 0),
+        (0.2, 2, d3, [0.0, 0.0], [], neg, neg, neg, 0.0, 0, 0, 1, 0, 0),
+        (0.3, 3, d1, [1e-300, -5e-324], [], -0.0, zero, 1.0, 0.0, 0, 0, 1, 0,
+         0),
+    ], dtype=hybrid.row_dtype(2, 0))
+    return hybrid.HybridArc(rows=rows, directions=np.array([[1.0, 0.0]]))
 
 
 class TestArcCsvOracle:
@@ -763,9 +843,16 @@ class TestArcCsvOracle:
             xc0, AlgorithmConfig(), StopRule(max_jumps=40),
             flow_samples_per_period=3,
         )
-        # Dense rows share the jump row's controller and leave f/case empty.
-        assert arc.controller[1] is arc.controller[0]
-        assert arc.case[1] is None and arc.measured[1] is None
+        # Dense rows repeat the controller fields of the row before them
+        # bit for bit and leave f/case empty.
+        rows = arc.rows
+        dense = np.flatnonzero(rows["case"] == 0)[1:]
+        assert len(dense) == 40 * 3
+        for i in dense.tolist():
+            for name in ("z", "phi", "delta", "k", "q", "p", "m", "v"):
+                assert rows[name][i].tobytes() == rows[name][i - 1].tobytes()
+        assert np.isnan(rows["f"][dense]).all()
+        assert arc.samples[1].case is None and arc.samples[1].measured is None
         text = assert_writes_like_oracle(arc)
         assert text.count("\n") == 1 + 1 + 40 * 4
 
@@ -846,9 +933,9 @@ class TestReMeasureSharing:
 
     def test_dubins_shares_the_position_under_a_new_heading(self):
         arc = sharing_arc("dubins")
-        rows = arc.jump_rows()
-        assert any(arc.plant[b].x is arc.plant[a].x
-                   and arc.plant[b] is not arc.plant[a]
+        rows = arc.rows[arc.jump_rows()]
+        assert any(b["x"].tobytes() == a["x"].tobytes()
+                   and b["zeta"].tobytes() != a["zeta"].tobytes()
                    for a, b in zip(rows, rows[2:]))
 
     def test_signed_zero_is_not_shared(self):
@@ -856,39 +943,42 @@ class TestReMeasureSharing:
             _ScriptedPlant([1.0, -0.0, 1.0, 0.0]), core.make_sphere(1),
             PlantState(np.array([0.0])), make_controller([np.ones(1)], [0.5], 0.5),
             AlgorithmConfig(), StopRule(max_jumps=4))
-        assert arc.plant[2].x is not arc.plant[0].x
-        assert arc.plant[3] is arc.plant[1]
-        assert arc.plant[4].x is not arc.plant[2].x
+        x = [row.tobytes() for row in arc.rows["x"]]
+        assert x[2] != x[0]
+        assert x[3] == x[1]
+        assert x[4] != x[2]
         assert shared_rows(arc) == 1
         text = assert_writes_like_oracle(arc)
         assert [row.split(",")[3] for row in text.splitlines()[1:]] == [
             "0.0", "1.0", "-0.0", "1.0", "0.0"]
 
-    def test_dense_rows_leave_the_position_memo_to_the_jump_rows(self):
-        # With F = 3 the row two back of a jump row is a dense row, so the
-        # memo runs over the initial and jump rows only: each shared
-        # jump-row position is formatted once.
+    def test_dense_rows_keep_the_jump_row_repeats(self):
+        # With F = 3 the row two back of a jump row is a dense row: the
+        # repeats are counted over the initial and jump rows, and the
+        # objective is called once per other jump.
+        calls = []
         arc = run_closed_loop(
             plants.get_plant("point_mass", substeps=8),
-            core.make_aniso_quadratic(), PlantState(np.array([1.5, 0.0])),
+            counting(core.make_aniso_quadratic(), calls),
+            PlantState(np.array([1.5, 0.0])),
             make_controller(AXES, [0.5, 0.5], 0.5), AlgorithmConfig(),
             StopRule(max_jumps=2000), flow_samples_per_period=3)
-        rows = [0, *arc.jump_rows()]
-        pairs = list(zip(rows, rows[2:]))
-        strings = list(hybrid._positions(arc.plant, arc.case))
-        shared = [arc.plant[b].x is arc.plant[a].x for a, b in pairs]
-        assert sum(shared) == 910
-        assert [strings[b] is strings[a] for a, b in pairs] == shared
+        assert len(arc.rows) == 1 + 2000 * 4
+        assert shared_rows(arc) == 910
+        assert len(calls) == 2000 - 910 + 1  # a repeat of the start is measured
         assert_writes_like_oracle(arc)
 
     def test_distinct_positions_are_pinned(self):
         # 715 of the 2,000 jump rows land bit for bit on the point two jumps
-        # back, so 2,001 rows hold 1,286 position arrays.
-        arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 2000,
+        # back; one of them is the unmeasured start, so the objective is
+        # called 1,286 times.
+        calls = []
+        arc = closed_loop(counting(core.make_aniso_quadratic(), calls),
+                          [1.5, 0.0], 2000,
                           noise=BoundedRandomNoise(1e-3, seed=5))
-        assert len(arc.plant) == 2001
-        assert len({id(xi.x) for xi in arc.plant}) == 1286
+        assert len(arc.rows) == 2001
         assert shared_rows(arc) == 715
+        assert len(calls) == 1286
 
 
 def counting(objective, calls):
@@ -917,23 +1007,21 @@ class TestFieldReuse:
         noise = BoundedRandomNoise(1e-3, seed=5)
         arc = closed_loop(counting(core.make_aniso_quadratic(), calls),
                           [1.5, 0.0], 2000, noise=noise)
-        jumps = [arc.plant[i] for i in arc.jump_rows()]
-        fresh = [xi.x for j, xi in enumerate(jumps)
-                 if j < 2 or xi.x.tobytes() != jumps[j - 2].x.tobytes()]
+        jumps = [x.tobytes() for x in arc.rows["x"][arc.jump_rows()]]
+        fresh = [x for j, x in enumerate(jumps) if j < 2 or x != jumps[j - 2]]
         assert (len(jumps), len(fresh)) == (2000, 1286)
-        assert len(calls) == len(fresh)
-        assert all(arg is x for arg, x in zip(calls, fresh))
+        assert [x.tobytes() for x in calls] == fresh
 
     def test_noise_is_drawn_once_per_measurement(self):
         noise = BoundedRandomNoise(1e-3, seed=5)
         arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 2000,
                           noise=noise)
         f = core.make_aniso_quadratic()
-        rows = arc.jump_rows()
-        measured = [arc.measured[i] for i in rows]
+        rows = arc.rows[arc.jump_rows()]
+        measured = rows["f"].tolist()
         assert len(noise.history) == 2000
-        assert measured == [f(arc.plant[i].x) + n
-                            for i, n in zip(rows, noise.history)]
+        assert measured == [f(x.copy()) + n
+                            for x, n in zip(rows["x"], noise.history)]
         # The noise and the measured values of this run as one objective
         # call per measurement gave them; the walker draws the same noise.
         assert digest(noise.history) == "92e204346d44c05d"
@@ -943,10 +1031,11 @@ class TestFieldReuse:
         calls = []
         arc = closed_loop(counting(core.make_aniso_quadratic(), calls),
                           [1.5, 0.0], 2)
-        assert arc.case[1:] == [JumpCase.D2, JumpCase.D3]
-        assert arc.plant[2] is arc.plant[0]
-        assert len(calls) == 2 and calls[1] is arc.plant[0].x
-        assert arc.measured[2] == 2.25
+        assert jump_cases(arc) == [JumpCase.D2, JumpCase.D3]
+        x = [row.tobytes() for row in arc.rows["x"]]
+        assert x[2] == x[0]
+        assert len(calls) == 2 and calls[1].tobytes() == x[0]
+        assert arc.rows["f"][2] == 2.25
 
     def test_a_re_measure_at_signed_zero_calls_the_objective(self):
         calls = []
@@ -960,7 +1049,7 @@ class TestFieldReuse:
             core.ObjectiveFunction("signed", 1, signed),
             PlantState(np.array([0.0])), make_controller([np.ones(1)], [0.5], 0.5),
             AlgorithmConfig(), StopRule(max_jumps=4))
-        assert arc.measured[1:] == [1.5, 0.5, 1.5, 1.5]
+        assert arc.rows["f"][1:].tolist() == [1.5, 0.5, 1.5, 1.5]
         assert [repr(x.item()) for x in calls] == ["1.0", "-0.0", "0.0"]
 
 
@@ -978,7 +1067,7 @@ class _RecordingSink:
 def test_write_csv_streams_in_bounded_writes():
     arc = closed_loop(core.make_aniso_quadratic(), [1.5, 0.0], 19_999,
                       noise=BoundedRandomNoise(1e-3, seed=5))
-    assert len(arc.t) == 20_000
+    assert len(arc.rows) == 20_000
     sink = _RecordingSink()
     arc.write_csv(sink)
     assert max(map(len, sink.writes)) <= 64 * 1024
@@ -1066,7 +1155,7 @@ class TestEquivalence:
         expected = 1.0
         for _ in range(4):
             expected *= cfg.mu
-        assert arc.controller[-1].phi == expected
+        assert arc.final_controller.phi == expected
         assert state.phi == expected
 
     @pytest.mark.parametrize("kind", list(NOISE_CASES))

@@ -298,8 +298,12 @@ class TestRegistry:
         }[kind]
         get_noise(kind, **valid)
         with pytest.raises(ValueError) as info:
-            get_noise(kind, **{**valid, **params})
+            noise.NOISE_BUILDERS[kind](**{**valid, **params})
         assert str(info.value) == expected
+        # The registry names the kind the value was given for.
+        with pytest.raises(core.ConfigError) as info:
+            get_noise(kind, **{**valid, **params})
+        assert info.value.violations == [f"noise model {kind!r}: {expected}"]
 
     def test_adversarial_kinds_require_bounds(self):
         with pytest.raises(core.ConfigError):

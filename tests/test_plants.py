@@ -468,9 +468,12 @@ class TestDubinsDenseRows:
         tau = config.algorithm["tau_star"]
         starts = [0, *arc.jump_rows()]
         assert len(starts) == 3
+        rows = arc.rows
         for r, next_r in zip(starts, starts[1:]):
-            xi, xc = arc.plant[r], arc.controller[r]
-            schedule, _ = plant.steer(xi, (xc.p * xc.delta) * xc.v, tau)
+            xi = PlantState(rows["x"][r], rows["zeta"][r])
+            target = (int(rows["p"][r]) * float(rows["delta"][r])
+                      * arc.directions[rows["v"][r]])
+            schedule, _ = plant.steer(xi, target, tau)
             raw: list = []
             plant.integrate(xi, schedule, tau, collect=raw)
             stride = len(raw) // 4
@@ -478,11 +481,10 @@ class TestDubinsDenseRows:
             assert len(dense) == 3
             for i, row in enumerate(dense, start=1):
                 x1, x2, heading = raw[i * stride - 1][1]
-                state = arc.plant[row]
-                assert state.x.tolist() == [x1, x2]
-                assert state.zeta.tolist() == [wrap_angle(heading)]
-                assert -math.pi < state.zeta[0] <= math.pi
-            assert arc.plant[next_r].zeta.shape == (1,)
+                assert rows["x"][row].tolist() == [x1, x2]
+                assert rows["zeta"][row].tolist() == [wrap_angle(heading)]
+                assert -math.pi < rows["zeta"][row][0] <= math.pi
+            assert rows["zeta"][next_r].shape == (1,)
 
 
 class TestExactPlant:
