@@ -39,7 +39,7 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import islice
+import itertools
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,6 +57,7 @@ from .core import (
     stop_reason,
 )
 from .plants import PlantState
+from .rsp import KINDS
 
 __all__ = [
     "JumpCase",
@@ -444,13 +445,35 @@ _CASE_TEXT = tuple("" if c is None else c.value for c in CASES)
 _CSV_FIELDS = ("t", "j", "case", "x", "f", "z", "phi", "delta", "k", "q", "p", "m")
 
 
-def _repeats(bits: np.ndarray, back: int) -> np.ndarray:
+def _repeats(bits: np.ndarray, back: int, every: int = 1) -> np.ndarray:
     """Whether each row's bits equal those of the row ``back`` rows before
-    it (False for the first ``back`` rows)."""
+    it, checked at every ``every``-th row from the first (False elsewhere
+    and for the first ``back`` rows)."""
     same = np.zeros(len(bits), dtype=bool)
-    equal = bits[back:] == bits[:-back]
-    same[back:] = equal.all(axis=1) if equal.ndim == 2 else equal
+    equal = bits[back::every] == bits[:-back:every]
+    same[back::every] = equal.all(axis=1) if equal.ndim == 2 else equal
     return same
+
+
+def _jump_period(rows: np.ndarray) -> int:
+    """The rows from one jump row to the next, one more than the dense rows
+    per period: the initial row and the jump rows are every
+    ``_jump_period``-th row (1 for an arc with no jump)."""
+    jumps = int(rows["j"][-1]) if len(rows) else 0
+    return (len(rows) - 1) // jumps if jumps else 1
+
+
+def _reuse_masks(rows: np.ndarray, period: int) -> tuple[np.ndarray, ...]:
+    """The rows of ``rows`` whose ``x``, ``z``, ``phi`` and ``delta`` reuse
+    a string already formatted, and those whose ``z`` reuses the row's
+    ``f`` string (see `_csv_lines`); ``x`` is compared at every
+    ``period``-th row with the row two periods back."""
+    def bits(name):
+        return rows[name].view(np.int64)
+
+    return (_repeats(bits("x"), 2 * period, period),
+            *(_repeats(bits(name), 1) for name in ("z", "phi", "delta")),
+            (bits("z") == bits("f")) & (rows["case"] != 0))
 
 
 def _csv_lines(rows: np.ndarray):
@@ -458,27 +481,27 @@ def _csv_lines(rows: np.ndarray):
     records at a time.
 
     A value whose bits equal those of one already formatted reuses its
-    string: ``x`` when it is the ``x`` two rows back (a re-measure), ``z``,
-    ``phi`` and ``delta`` when they are the row before's, and ``z`` when it
-    is the row's ``f``.  Equal bits have equal reprs, so ``-0.0`` keeps its
-    sign.
+    string: the ``x`` of a jump row when it is the ``x`` two jumps back (a
+    re-measure), ``z``, ``phi`` and ``delta`` when they are the row
+    before's, and ``z`` when it is the row's ``f``.  Equal bits have equal
+    reprs, so ``-0.0`` keeps its sign.  The ``x`` strings of the initial row
+    and the jump rows are kept for that reuse; a dense row's are not.
     """
-    def bits(name):
-        return rows[name].view(np.int64)
-
-    reuse = (_repeats(bits("x"), 2),
-             *(_repeats(bits(name), 1) for name in ("z", "phi", "delta")),
-             (bits("z") == bits("f")) & (rows["case"] != 0))
+    period = _jump_period(rows)
+    reuse = _reuse_masks(rows, period)
+    # Whether each row, in turn, is the initial row or a jump row.
+    keep_x = itertools.cycle((True, *(False,) * (period - 1)))
     x1 = x2 = z_s = phi_s = delta_s = ""
     for a in range(0, len(rows), CHUNK_ROWS):
         block = slice(a, a + CHUNK_ROWS)
         for (t, j, c, x, f, z, phi, delta, k, q, p, m,
-             rx, rz, rphi, rdelta, zf) in zip(
+             rx, rz, rphi, rdelta, zf, kx) in zip(
                 *(rows[name][block].tolist() for name in _CSV_FIELDS),
-                *(mask[block].tolist() for mask in reuse)):
+                *(mask[block].tolist() for mask in reuse), keep_x):
             f_s = repr(f) if c else ""
             x_s = x2 if rx else ",".join(map(repr, x))
-            x2, x1 = x1, x_s
+            if kx:
+                x2, x1 = x1, x_s
             if not rz:
                 z_s = f_s if zf else repr(z)
             if not rphi:
@@ -499,7 +522,7 @@ def write_lines(fp, lines) -> None:
     """Write an iterable of newline-terminated strings to ``fp``, joined
     `CHUNK_ROWS` at a time, so at most one chunk is held in memory."""
     lines = iter(lines)
-    while chunk := "".join(islice(lines, CHUNK_ROWS)):
+    while chunk := "".join(itertools.islice(lines, CHUNK_ROWS)):
         fp.write(chunk)
 
 
@@ -640,7 +663,7 @@ class EquivalenceReport:
 
 
 # The jump case the controller takes for the measurement a walker log record
-# ``(kind, accepted)`` describes.
+# ``(kind, accepted)`` describes (``kind`` is one of `rsp.KINDS`).
 WALKER_CASES: dict[tuple[str, bool], JumpCase] = {
     ("probe_pos", True): JumpCase.D1,
     ("probe_pos", False): JumpCase.D2,
@@ -660,16 +683,25 @@ def equivalence_check(
     """Compare closed-loop measurement positions against the discrete log.
 
     The j-th jump of the arc must measure the field at the same point as the
-    j-th record of the discrete route's iterate log, coordinate-wise within
-    ``tol``.  Returns an `EquivalenceReport`; ``ok`` is False when the routes
-    diverge or fewer than ``min_points`` measurements can be compared.
-    Every report also gives ``first_case_split``.
+    j-th record of the discrete route's iterate log (an `rsp.IterateLog`),
+    coordinate-wise within ``tol``.  Returns an `EquivalenceReport`; ``ok``
+    is False when the routes diverge or fewer than ``min_points``
+    measurements can be compared.  Every report also gives
+    ``first_case_split``.  Positions and cases are compared column against
+    column, in one vectorised pass each; no `EvalRecord` is built.
     """
     rows = arc.jump_rows()
-    m = min(len(rows), len(rsp_log))
-    split = next((i for i, (c, r) in enumerate(zip(arc.rows["case"][rows].tolist(),
-                                                   rsp_log))
-                  if CASES[c] is not WALKER_CASES[(r.kind, r.accepted)]), None)
+    log = rsp_log.rows
+    m = min(len(rows), len(log))
+    # The case code of each (kind code, accepted) pair of `WALKER_CASES`;
+    # -1 for a pair no walker record takes.
+    walker_codes = np.full((len(KINDS), 2), -1, dtype=np.int8)
+    for (kind, accepted), case in WALKER_CASES.items():
+        walker_codes[KINDS.index(kind), int(accepted)] = _CODES[case]
+    splits = np.flatnonzero(
+        arc.rows["case"][rows[:m]]
+        != walker_codes[log["kind"][:m], log["accepted"][:m].astype(np.intp)])
+    split = int(splits[0]) if len(splits) else None
     if m < min_points:
         return EquivalenceReport(
             ok=False, compared=m, max_abs_error=math.inf,
@@ -677,8 +709,7 @@ def equivalence_check(
             first_case_split=split,
         )
     hybrid_points = arc.rows["x"][rows[:m]]
-    rsp_points = np.array([r.x for r in islice(rsp_log, m)]).reshape(
-        hybrid_points.shape)
+    rsp_points = log["x"][:m]
     errors = np.abs(hybrid_points - rsp_points).max(axis=1, initial=0.0)
     diverged = np.flatnonzero(errors > tol)
     if len(diverged):

@@ -429,6 +429,12 @@ def jam_demo(
     sublevel set.  With ``drag_start`` set, a drag phase replaces the jam
     from that measurement index onward (the offset resets at the switch),
     demonstrating guided escape from the sublevel set.
+
+    The audit reads the walker's `rsp.IterateLog` by its columns: the rows
+    of the jam phase, their anchors and probes are selected with masks, and
+    no `rsp.EvalRecord` is built.  Each margin is evaluated as
+    ``f(probe) + n_s(k) - (f(anchor) + n_s(k-1) - rho(delta))``, in that
+    order, at copies of the logged points.
     """
     x0 = np.asarray(x0, dtype=float)
     lo, hi = initial_sublevel_box(objective, x0)
@@ -460,37 +466,37 @@ def jam_demo(
     frozen_anchor: Optional[np.ndarray] = None
     history = model.history
     jam_end = budget if drag_start is None else min(budget, drag_start - 1)
+    rows, anchors = state.iterate_log.rows, state.iterate_log.anchors
     if k_star is not None:
-        post = [r for r in state.iterate_log if k_star <= r.index <= jam_end]
-        frozen_anchor = next(
-            (r.anchor for r in state.iterate_log if r.index >= k_star), None
-        )
-        frozen = frozen_anchor is not None and all(
-            (not r.accepted) and np.array_equal(r.anchor, frozen_anchor)
-            for r in post
-        )
+        # Record ``index`` is row number + 1: the rows with index in
+        # [k_star, jam_end].
+        post = rows[k_star - 1:jam_end]
+        if k_star <= len(rows):
+            frozen_anchor = anchors[rows["line"][k_star - 1]].copy()
+            frozen = not post["accepted"].any() and bool(
+                (anchors[post["line"]] == frozen_anchor).all())
         frozen_iterations = len(post)
-        for r in post:
-            if r.kind not in ("probe_pos", "probe_neg"):
-                continue
-            k = r.index
+        kind = post["kind"]
+        probes = np.flatnonzero((kind == rsp.KINDS.index("probe_pos"))
+                                | (kind == rsp.KINDS.index("probe_neg")))
+        # Fancy indexing copies, so the objective reads whole float64 rows.
+        for k, x, anchor, delta in zip(
+                (probes + k_star).tolist(), post["x"][probes],
+                anchors[post["line"][probes]], post["delta"][probes].tolist()):
             n_k = history[k - 1]
             n_prev = history[k - 2] if k >= 2 else 0.0
             margin = (
-                float(objective(r.x))
+                float(objective(x))
                 + n_k
-                - (float(objective(r.anchor)) + n_prev - rho(r.delta))
+                - (float(objective(anchor)) + n_prev - rho(delta))
             )
             margins.append(margin)
 
     escaped: Optional[bool] = None
     if drag_start is not None:
         f0 = float(objective(x0))
-        escaped = any(
-            float(objective(r.x)) > f0
-            for r in state.iterate_log
-            if r.index >= drag_start
-        )
+        escaped = any(float(objective(x)) > f0
+                      for x in rows["x"][drag_start - 1:].copy())
 
     return JamDemoReport(
         activation_index=k_star,

@@ -11,6 +11,12 @@ The field is evaluated once per distinct measured point: a re-measure that
 lands bitwise on the point measured two before reuses its objective value
 and draws fresh noise.
 
+The log is an `IterateLog`: one fixed-width `log_dtype` record per
+measurement, packed into a byte buffer as the walk runs and read as a numpy
+structured array after it, plus each line minimization's anchor once.  No
+per-measurement object outlives its measurement; the log builds an
+`EvalRecord` per access.
+
 A cycle over ``n`` directions runs ``n + 1`` line minimizations: the newest
 direction is explored first AND last, and the total displacement accumulated
 over the cycle becomes the candidate that replaces the oldest direction.
@@ -18,7 +24,9 @@ over the cycle becomes the candidate that replaces the oldest direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import struct
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,6 +49,9 @@ __all__ = [
     "StopRule",
     "EvalRecord",
     "EvaluationError",
+    "KINDS",
+    "log_dtype",
+    "IterateLog",
     "RspState",
     "run",
     "active_slot",
@@ -49,7 +60,7 @@ __all__ = [
 
 @dataclass(slots=True)
 class EvalRecord:
-    """One objective measurement.
+    """One objective measurement, as `IterateLog` builds it.
 
     ``kind`` is one of ``probe_pos`` / ``probe_neg`` (trial points),
     ``reanchor`` (re-measure at the anchor after the first positive probe
@@ -58,9 +69,8 @@ class EvalRecord:
     sufficient-decrease test; ``anchor`` is the best point at the time of the
     measurement; ``index`` is the 1-based global measurement counter.
 
-    ``x`` is the very array the objective was called with, and every record
-    of one line minimization shares its ``anchor`` array.  Both are shared
-    with the walker and must be treated as read-only.
+    ``x`` and ``anchor`` are new arrays with the bytes of the measured point
+    and of the line's anchor; changing them leaves the log as it was.
     """
 
     index: int
@@ -75,9 +85,64 @@ class EvalRecord:
     delta: float
 
 
+# The measurement kind of each code of the log's ``kind`` column.
+KINDS: tuple[str, ...] = ("probe_pos", "probe_neg", "reanchor", "close")
+_PROBE_POS, _PROBE_NEG, _REANCHOR, _CLOSE = range(len(KINDS))
+
+
+def log_dtype(n: int) -> np.dtype:
+    """The record of one measurement of an ``n``-D walk: packed, in native
+    byte order, field for field what `_log_struct` packs.  ``line`` is the
+    row of `IterateLog.anchors` that holds the line minimization's anchor."""
+    return np.dtype([
+        ("x", "f8", (n,)), ("measured", "f8"), ("delta", "f8"),
+        ("line", "i4"), ("step", "i4"), ("kind", "i1"), ("accepted", "?"),
+    ])
+
+
+def _log_struct(n: int) -> struct.Struct:
+    """The packer of one `log_dtype` record; ``x`` goes in as its bytes."""
+    return struct.Struct(f"={8 * n}s2d2ib?")
+
+
+class IterateLog(Sequence):
+    """The walker's measurements: ``rows`` holds one `log_dtype` record per
+    measurement, in order, and ``anchors`` one row per line minimization
+    with its anchor.
+
+    Nothing derivable is stored: a record's ``index`` is its row number
+    plus 1, its ``kind`` a code into `KINDS`, and its ``cycle`` and ``slot``
+    follow from ``line``, since a walk runs ``n + 1`` lines per cycle from
+    slot counter 0.  Indexing builds one `EvalRecord` per access (a slice
+    gives a list of them), so ``len`` builds none.
+    """
+
+    __slots__ = ("rows", "anchors")
+
+    def __init__(self, rows: np.ndarray, anchors: np.ndarray) -> None:
+        self.rows = rows
+        self.anchors = anchors
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[i]
+        x, measured, delta, line, step, kind, accepted = self.rows[i].item()
+        cycle, slot = divmod(line, self.anchors.shape[1] + 1)
+        return EvalRecord(i + 1, cycle, slot, step, x.copy(), measured,
+                          KINDS[kind], accepted, self.anchors[line].copy(),
+                          delta)
+
+
 @dataclass
 class RspState:
-    """Walker state between line minimizations / cycles."""
+    """Walker state between line minimizations / cycles.
+
+    ``iterate_log`` is set when `run` returns.
+    """
 
     x: np.ndarray
     directions: DirectionSet
@@ -90,7 +155,7 @@ class RspState:
     evaluations: int = 0
     blocked_cycles: int = 0
     stopped: str = ""
-    iterate_log: list[EvalRecord] = field(default_factory=list)
+    iterate_log: Optional[IterateLog] = None
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -110,7 +175,8 @@ class _Meter:
     """Counts objective measurements, applies noise, enforces the cap.
 
     Keeps the field value of the last two measurements under the measured
-    point's ``x.tobytes()``.  A measurement whose bytes equal those of the
+    point's ``x.tobytes()``; ``key1`` holds the bytes of the latest, which
+    the log packs as its ``x``.  A measurement whose bytes equal those of the
     measurement two before (a re-measure at the anchor or the best point)
     reuses that value and does not call the objective; noise is still drawn
     at every measurement.  The start is never measured, so it has no slot.
@@ -146,38 +212,28 @@ def _line_minimize(
     z: float,
     phi: float,
     cfg: AlgorithmConfig,
-    log: list[EvalRecord],
-    cycle: int,
-    slot: int,
+    log: bytearray,
+    pack,
+    line: int,
 ) -> tuple[float, float, float, np.ndarray]:
     """Walk one direction with expanding steps and sufficient decrease.
 
     Probes the positive side first; only if the very first probe fails does
     the walker re-measure the anchor and sweep the negative side.  Every trial
     point is computed from the anchor as ``anchor + lam * v`` (never
-    incrementally), so rejected probes cannot perturb the iterate.  Each log
-    record holds the array that was measured and shares ``anchor``; no array
-    is modified after it is built.
+    incrementally), so rejected probes cannot perturb the iterate.  Each
+    measurement appends one `log_dtype` record to ``log``, packed by
+    ``pack`` with the measured point's bytes as ``meter`` keyed them and
+    ``line``, the row of the anchor in `IterateLog.anchors`.
 
     Returns ``(lam, delta_final, close_value, best_point)`` where
     ``close_value`` is the re-measurement at the best point that ends the
     line minimization.
     """
 
-    def emit(
-        x: np.ndarray,
-        y: float,
-        kind: str,
-        accepted: bool,
-        step: int,
-        delta_used: float,
-    ) -> None:
-        log.append(
-            EvalRecord(
-                meter.count, cycle, slot, step, x, y, kind, accepted, anchor,
-                delta_used,
-            )
-        )
+    def emit(y: float, kind: int, accepted: bool, step: int,
+             delta_used: float) -> None:
+        log.extend(pack(meter.key1, y, delta_used, line, step, kind, accepted))
 
     lam = 0.0
     accepted = 0
@@ -192,16 +248,16 @@ def _line_minimize(
             z = y
             delta = min(cfg.gamma * delta, cfg.lambda_t * phi)
             accepted += 1
-            emit(probe, y, "probe_pos", True, accepted, delta_used)
+            emit(y, _PROBE_POS, True, accepted, delta_used)
             continue
-        emit(probe, y, "probe_pos", False, accepted, delta_used)
+        emit(y, _PROBE_POS, False, accepted, delta_used)
         break
 
     if accepted == 0:
         # First probe failed: re-anchor, then sweep the negative side.
         y = meter.measure(anchor, delta, v)
         z = y
-        emit(anchor, y, "reanchor", False, 0, delta)
+        emit(y, _REANCHOR, False, 0, delta)
         while True:
             delta_used = delta
             probe = anchor + (lam - delta) * v
@@ -211,14 +267,14 @@ def _line_minimize(
                 z = y
                 delta = min(cfg.gamma * delta, cfg.lambda_t * phi)
                 accepted += 1
-                emit(probe, y, "probe_neg", True, accepted, delta_used)
+                emit(y, _PROBE_NEG, True, accepted, delta_used)
                 continue
-            emit(probe, y, "probe_neg", False, accepted, delta_used)
+            emit(y, _PROBE_NEG, False, accepted, delta_used)
             break
 
     best = anchor + lam * v
     y = meter.measure(best, delta, v)
-    emit(best, y, "close", False, accepted, delta)
+    emit(y, _CLOSE, False, accepted, delta)
     return lam, delta, y, best
 
 
@@ -235,9 +291,12 @@ class _Walker:
     ):
         self.cfg = cfg
         self.st = state
-        # Log records share the iterate arrays, so none may alias the caller's.
+        # The returned state must not alias the caller's start.
         state.x = state.x.copy()
         self.meter = _Meter(objective, noise, cap)
+        self.log = bytearray()
+        self.pack = _log_struct(state.dimension).pack
+        self.anchors = bytearray()
 
     # -- one line minimization at the current counter ----------------------
 
@@ -246,6 +305,7 @@ class _Walker:
         c = st.k
         a = active_slot(c, st.dimension)
         v = st.directions.directions[a]
+        self.anchors += st.x.tobytes()
         lam, delta_end, z_close, best = _line_minimize(
             self.meter,
             st.x,
@@ -254,9 +314,9 @@ class _Walker:
             st.z,
             st.phi,
             self.cfg,
-            st.iterate_log,
-            st.cycles,
-            c,
+            self.log,
+            self.pack,
+            st.cycles * (st.dimension + 1) + c,
         )
         st.x = best
         st.z = z_close
@@ -299,6 +359,13 @@ class _Walker:
         except _BudgetExhausted:
             st.evaluations = self.meter.count
 
+    def iterate_log(self) -> IterateLog:
+        """The log of the walk so far, built once over its buffers (a
+        numpy view locks a ``bytearray`` against resizing)."""
+        n = self.st.dimension
+        return IterateLog(np.frombuffer(self.log, log_dtype(n)),
+                          np.frombuffer(self.anchors).reshape(-1, n))
+
 
 def run(
     objective,
@@ -318,7 +385,8 @@ def run(
     inputs that break `core.check_run`, as `hybrid.run_closed_loop` does.
     The walk makes at most ``stop.measurement_cap`` measurements and checks
     `core.stop_reason` at each cycle boundary; it names the stop in
-    ``stopped``.
+    ``stopped``.  Each measurement is packed as one `log_dtype` record, and
+    the returned state's ``iterate_log`` is built over those records once.
     """
     x0 = np.asarray(x0, dtype=float)
     if directions is None:
@@ -336,5 +404,6 @@ def run(
                                      state.phi)):
         walker.run_cycle()
     state.stopped = reason
+    state.iterate_log = walker.iterate_log()
     return state
 

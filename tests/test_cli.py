@@ -185,6 +185,21 @@ class TestBenchSuites:
         assert len(rows) == 10
         assert all(r["frozen"] for r in rows)
         assert all(r["min_certificate_margin"] >= 0.0 for r in rows)
+        # The audit bit for bit: activation index, frozen flag, frozen
+        # iterations and the smallest certificate margin as ``float.hex``.
+        assert [(r["activation_index"], r["frozen"], r["frozen_iterations"],
+                 r["min_certificate_margin"].hex()) for r in rows] == [
+            (301, True, 400, "0x1.dbd0000000000p-33"),
+            (144, True, 557, "0x1.0000000000000p-41"),
+            (157, True, 544, "0x1.6800000000000p-40"),
+            (127, True, 574, "0x1.ff00000000000p-42"),
+            (152, True, 549, "0x1.a500000000000p-38"),
+            (136, True, 565, "0x1.b800000000000p-41"),
+            (161, True, 540, "0x1.aa00000000000p-38"),
+            (144, True, 557, "0x1.1dc0000000000p-36"),
+            (127, True, 574, "0x1.b000000000000p-41"),
+            (160, True, 541, "0x1.7a00000000000p-43"),
+        ]
 
 
 class TestMain:

@@ -966,6 +966,12 @@ class TestReMeasureSharing:
         assert len(arc.rows) == 1 + 2000 * 4
         assert shared_rows(arc) == 910
         assert len(calls) == 2000 - 910 + 1  # a repeat of the start is measured
+        # `write_csv` reuses the string of every one of them, and of no
+        # dense row.
+        period = hybrid._jump_period(arc.rows)
+        reused = np.flatnonzero(hybrid._reuse_masks(arc.rows, period)[0])
+        assert (period, len(reused)) == (4, 910)
+        assert (arc.rows["case"][reused] != 0).all()
         assert_writes_like_oracle(arc)
 
     def test_distinct_positions_are_pinned(self):
@@ -1211,8 +1217,9 @@ class TestCaseSplit:
         assert equivalence_check(arc, log).first_case_split is None
         for i in (37, 0):
             kind = "reanchor" if log[i].kind == "close" else "close"
-            bad = [*log[:i], replace(log[i], kind=kind, accepted=False),
-                   *log[i + 1:]]
+            bad = rsp.IterateLog(log.rows.copy(), log.anchors)
+            bad.rows["kind"][i] = rsp.KINDS.index(kind)
+            bad.rows["accepted"][i] = False
             report = equivalence_check(arc, bad, min_points=100)
             assert (report.ok, report.first_divergence, report.detail) == (
                 True, None, "")

@@ -1,6 +1,7 @@
 """Tests for measurement-noise models: the seeded bounded model, the
 jamming/dragging adversaries and their activation logic, the robustness
 bound calculator, and the jamming demonstration harness."""
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,11 @@ from directseek.noise import (
 )
 
 D = np.array([1.0, 0.0])
+
+
+def digest(values) -> str:
+    """A short digest of a sequence of floats' bytes."""
+    return hashlib.sha256(np.array(values, dtype=float).tobytes()).hexdigest()[:16]
 
 
 class TestZeroNoise:
@@ -207,6 +213,9 @@ class TestJamDemo:
         assert report.certificate_margins
         assert all(m >= 0.0 for m in report.certificate_margins)
         assert report.escaped is None
+        # Every margin bit for bit.
+        assert len(report.certificate_margins) == 106
+        assert digest(report.certificate_margins) == "f618c8dc190d4083"
 
     def test_default_contraction_outruns_float_ties(self):
         # far past the activation the accumulated gauge falls below one ulp
@@ -248,6 +257,11 @@ class TestJamDemo:
                           AlgorithmConfig(), 0.5, budget=4000,
                           drag_start=80)
         assert report.escaped is True
+        # The jam phase before the drag, bit for bit.
+        assert (report.activation_index, report.frozen,
+                report.frozen_iterations) == (70, True, 10)
+        assert report.frozen_anchor.tolist() == [0.0, 0.0]
+        assert digest(report.certificate_margins) == "56bea9ed444eb7ac"
 
 
 class TestRegistry:

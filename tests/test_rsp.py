@@ -3,16 +3,19 @@ decrease, cycle mechanics, step-size laws, the conjugate-direction update,
 and the exact-minimization oracle (`exact_mode`) behind the
 quadratic-termination checks."""
 import copy
+import gc
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from directseek import core, rsp
+from directseek import core, hybrid, rsp
 from directseek.core import AlgorithmConfig, DirectionSet, StopRule
-from directseek.noise import BoundedRandomNoise
+from directseek.noise import BoundedRandomNoise, jam_demo
+from directseek.plants import ExactPlant, PlantState
 from exact_mode import exact_cycles, exact_line_search, spd_hessian
 
 # f(x) = x1^2 + 5 x2^2 (`core.make_aniso_quadratic`) as (H, x*).
@@ -313,16 +316,21 @@ class TestIterateLog:
                   if i < 2 or r.x.tobytes() != log[i - 2].x.tobytes()]
         assert len(seen) == len(called)
         for record, (arg, snapshot) in zip(called, seen):
-            assert record.x is arg
+            assert record.x.tobytes() == arg.tobytes()
             assert record.x.tobytes() == snapshot.tobytes()
         for record in log:
             assert record.x is not x0 and record.anchor is not x0
+        # Each record's anchor is its line's row of the anchor table.
+        lines = log.rows["line"]
+        for record, line in zip(log, lines):
+            assert record.anchor.tobytes() == log.anchors[line].tobytes()
         reanchors = [r for r in log if r.kind == "reanchor"]
         assert reanchors
-        assert all(r.x is r.anchor for r in reanchors)
-        for prev, record in zip(log, log[1:]):
+        assert all(r.x.tobytes() == r.anchor.tobytes() for r in reanchors)
+        for i, (prev, record) in enumerate(zip(log, log[1:])):
             if (prev.cycle, prev.slot) == (record.cycle, record.slot):
-                assert record.anchor is prev.anchor
+                assert lines[i + 1] == lines[i]
+                assert record.anchor.tobytes() == prev.anchor.tobytes()
 
     def test_later_cycles_and_the_caller_leave_the_log_unchanged(self):
         # a 22-cycle run begins with the same records as a 2-cycle run, so
@@ -348,6 +356,124 @@ class TestIterateLog:
         before = copy.deepcopy(state.iterate_log)
         x0[:] = 99.0
         assert_same_records(before, state.iterate_log)
+
+
+def noisy_robust_walk(jumps=2000):
+    """Both routes on the 4-D noisy robust quadratic of `walker_noisy`,
+    over ``jumps`` measurements: ``(state, arc)``."""
+    n = 4
+    objective = core.make_random_spd_quadratic(dimension=n, seed=0)
+    cfg = AlgorithmConfig(lambda_s=0.1, phi_min=0.001)
+    axes = [np.eye(n)[i] for i in range(n)]
+    state = rsp.run(objective, np.zeros(n), cfg,
+                    StopRule(max_evaluations=jumps),
+                    directions=DirectionSet(axes, [0.5] * n),
+                    noise=BoundedRandomNoise(1e-6, seed=0))
+    arc = hybrid.run_closed_loop(
+        ExactPlant(n), objective, PlantState(np.zeros(n)),
+        hybrid.make_controller(axes, [0.5] * n, 1.0), cfg,
+        StopRule(max_jumps=jumps), noise=BoundedRandomNoise(1e-6, seed=0))
+    return state, arc
+
+
+def counting_records(monkeypatch) -> list:
+    """Count the `EvalRecord`s built from here on."""
+    built = []
+    real = rsp.EvalRecord
+    monkeypatch.setattr(rsp, "EvalRecord",
+                        lambda *args: built.append(args) or real(*args))
+    return built
+
+
+class TestWalkerLogRecords:
+    """The walker keeps one packed record per measurement and each line's
+    anchor once, and builds no object per measurement."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_the_packer_writes_the_record(self, n):
+        assert rsp._log_struct(n).size == rsp.log_dtype(n).itemsize
+
+    def test_the_log_holds_no_per_measurement_objects(self, monkeypatch):
+        state, arc = noisy_robust_walk()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            state, _ = noisy_robust_walk()
+            log = state.iterate_log
+            del state
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            rows = log.rows
+            nbytes, itemsize = rows.nbytes, rows.dtype.itemsize
+            records, anchors = len(rows), log.anchors.nbytes
+            built = counting_records(monkeypatch)
+            assert len(log) == 2000
+            assert hybrid.equivalence_check(arc, log, tol=1e-9,
+                                            min_points=2000).ok
+            assert built == []
+            assert log[-1].index == 2000
+            assert len(built) == 1
+            del log, rows
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (records, nbytes) == (2000, 2000 * itemsize)
+        # The records, the anchor table and the buffer's slack; a record
+        # object per measurement would hold several times the records.
+        assert nbytes + anchors <= retained <= 2 * nbytes
+
+    def test_records_are_the_measurements(self, monkeypatch):
+        # Each record field for field against what the walk did: the
+        # measurement (index, point, value, step size), the line it was
+        # made in (cycle, slot, anchor), the probes accepted in that line,
+        # and the controller's jump case for that measurement.
+        measured, lines = [], []
+        measure, run_slot = rsp._Meter.measure, rsp._Walker.run_slot
+
+        def recording_measure(meter, x, delta, direction):
+            y = measure(meter, x, delta, direction)
+            measured.append((meter.count, x.tobytes(), delta, y))
+            return y
+
+        def recording_run_slot(walker):
+            st = walker.st
+            lines.append((walker.meter.count, st.cycles, st.k, st.x.tobytes()))
+            run_slot(walker)
+
+        monkeypatch.setattr(rsp._Meter, "measure", recording_measure)
+        monkeypatch.setattr(rsp._Walker, "run_slot", recording_run_slot)
+        state, arc = noisy_robust_walk()
+        log = state.iterate_log
+        assert len(log) == len(measured) == 2000
+        cases = [hybrid.CASES[c] for c in arc.rows["case"][arc.jump_rows()]]
+        starts = [start for start, *_ in lines]
+        step = 0
+        for record, (count, x, delta, y), case in zip(log, measured, cases):
+            _, cycle, slot, anchor = lines[
+                np.searchsorted(starts, record.index, "left") - 1]
+            step += record.accepted
+            assert (record.index, record.x.tobytes(), record.delta,
+                    record.measured) == (count, x, delta, y)
+            assert (record.cycle, record.slot,
+                    record.anchor.tobytes()) == (cycle, slot, anchor)
+            assert record.step == step
+            assert hybrid.WALKER_CASES[(record.kind, record.accepted)] is case
+            if record.kind == "close":
+                step = 0
+        assert len(set(starts)) == len(lines) > 400
+        # A built record is a copy: changing it leaves the log as it was.
+        record = log[5]
+        x, anchor = record.x.tobytes(), record.anchor.tobytes()
+        record.x[:] = record.anchor[:] = 99.0
+        assert (log[5].x.tobytes(), log[5].anchor.tobytes()) == (x, anchor)
+
+    def test_the_jam_audit_builds_no_record(self, monkeypatch):
+        built = counting_records(monkeypatch)
+        report = jam_demo(core.make_sphere(2), np.array([1.0, 0.0]),
+                          AlgorithmConfig(), 0.5, budget=280, drag_start=200)
+        assert report.frozen_iterations > 0 and report.escaped is not None
+        assert built == []
 
 
 def signed_objective(seen):
@@ -408,7 +534,7 @@ class TestFieldReuse:
                       phi0=0.5).iterate_log
         assert [r.kind for r in log] == ["probe_pos", "reanchor"]
         assert log[1].x.tobytes() == x0.tobytes()
-        assert len(seen) == 2 and seen[1][0] is log[1].x
+        assert len(seen) == 2 and seen[1][0].tobytes() == log[1].x.tobytes()
         assert log[1].measured == 2.25
 
     def test_a_re_measure_at_signed_zero_calls_the_objective(self):
