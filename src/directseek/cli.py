@@ -369,8 +369,7 @@ def run_experiment(
             ) as fp:
                 fp.write("k,value\n")
                 hybrid.write_lines(fp, map(
-                    "{},{!r}\n".format, itertools.count(1),
-                    map(float, model.history),
+                    "{},{!r}\n".format, itertools.count(1), model.history,
                 ))
     return arc, summary
 
@@ -385,7 +384,8 @@ def rho_table(min_delta: float, max_delta: float, points: int) -> list[dict]:
 
     ``min_delta == 0`` is allowed: the first row is the exact limit pair
     (0, 0) flagged ``limit`` and the remaining points are log-spaced ending
-    at ``max_delta``.  Raises ``ValueError`` for a degenerate range.
+    at ``max_delta``.  Raises ``ValueError`` for a degenerate or non-finite
+    range.
     """
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
@@ -395,10 +395,14 @@ def rho_table(min_delta: float, max_delta: float, points: int) -> list[dict]:
         raise ValueError(
             f"min must be strictly below max, got min={min_delta}, max={max_delta}"
         )
+    if not math.isfinite(max_delta):
+        raise ValueError(f"max must be finite, got {max_delta}")
     rows: list[dict] = []
     if min_delta == 0.0:
         rows.append({"delta": 0.0, "rho": 0.0, "log_rho": None, "flag": "limit"})
         grid = np.geomspace(max_delta / 10.0**6, max_delta, points - 1)
+        # A one-point geomspace is its start; the grid still ends at max.
+        grid[-1] = max_delta
     else:
         grid = np.geomspace(min_delta, max_delta, points)
     for d in grid:

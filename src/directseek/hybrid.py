@@ -109,8 +109,9 @@ class ControllerState:
     ``j * tau_star`` is its clock.
 
     States are treated as immutable: `jump` returns a new state sharing the
-    unchanged arrays with its input, and a `HybridArc` holds the loop's
-    states, not copies.  `copy` is a deep copy.
+    unchanged arrays with its input.  A `HybridArc` holds no loop state
+    past its jump: it keeps packed records plus copies of the last states,
+    ``final_plant`` and ``final_controller``.  `copy` is a deep copy.
 
     The class is slot-only, so a state has no instance dict.  The
     constructor, `make_controller` and `copy` convert ``alpha``, ``v`` and

@@ -22,9 +22,11 @@ controller's progress guarantee holds: ``rho(lambda_s * phi_floor) / 2``.
 """
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -73,16 +75,19 @@ def _integer(name: str, value) -> int:
 
 
 class NoiseModel:
-    """Base class: zero noise.  Subclasses override `sample`.
+    """Base class: zero noise.  Subclasses override `_value`.
 
     ``history`` records every emitted value in measurement order so tests and
-    reports can reconstruct the sequence n_s(1), n_s(2), ...
+    reports can reconstruct the sequence n_s(1), n_s(2), ...  It is one
+    packed ``array("d")``, 8 B per measurement: indexing and iterating it
+    give Python floats, and it compares equal only to another array, so
+    compare it with a list through ``list(...)`` or ``.tolist()``.
     """
 
     kind = "zero"
 
     def __init__(self) -> None:
-        self.history: list[float] = []
+        self.history = array.array("d")
 
     def sample(self, k: int, delta: float, direction) -> float:
         value = self._value(k, delta, direction)
@@ -93,7 +98,7 @@ class NoiseModel:
         return 0.0
 
     def reset(self) -> None:
-        self.history = []
+        self.history = array.array("d")
 
 
 class ZeroNoise(NoiseModel):
@@ -113,8 +118,8 @@ class BoundedRandomNoise(NoiseModel):
     sample.  numpy's sized draw computes each element as the scalar draw
     does, so the values are bitwise those of one
     ``default_rng(seed).uniform(-bound, bound)`` call per sample.  Raises
-    ``ValueError`` unless ``bound`` is a finite number >= 0 and ``seed`` an
-    integer.
+    ``ValueError`` unless ``bound`` is a finite number >= 0 whose width
+    ``2 * bound`` is finite too, and ``seed`` an integer.
     """
 
     kind = "bounded_random"
@@ -122,6 +127,12 @@ class BoundedRandomNoise(NoiseModel):
     def __init__(self, bound: float, seed: int = 0):
         super().__init__()
         self.bound = _bound("bound", bound)
+        if math.isinf(2.0 * self.bound):
+            # numpy draws ``low + (high - low) * u``; an infinite width
+            # makes the first draw raise OverflowError.
+            raise ValueError(
+                f"bound must be at most {sys.float_info.max / 2!r} so that "
+                f"2 * bound is finite, got {bound!r}")
         self.seed = _integer("seed", seed)
         self.reset()
 

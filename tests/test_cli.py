@@ -150,6 +150,13 @@ class TestRhoTable:
         assert len(rows) == 4
         assert rows[-1]["delta"] == 1.0
 
+    @pytest.mark.parametrize("max_delta", [1.0, 3.7, 1e-300])
+    def test_zero_min_with_two_points_ends_at_max(self, max_delta):
+        # One log-spaced point after the limit row: max itself.
+        rows = cli.rho_table(0.0, max_delta, 2)
+        assert [r["delta"] for r in rows] == [0.0, max_delta]
+        assert rows[1]["rho"] == core.rho(max_delta)
+
     def test_underflow_rows_are_flagged(self):
         rows = cli.rho_table(1e-4, 1e-3, 3)
         assert all(r["flag"] == "underflow" for r in rows)
@@ -163,6 +170,11 @@ class TestRhoTable:
             cli.rho_table(-0.5, 1.0, 5)
         with pytest.raises(ValueError):
             cli.rho_table(0.5, 4.0, 1)
+        for min_delta in (0.0, 1e-300):
+            with pytest.raises(ValueError, match="max must be finite"):
+                cli.rho_table(min_delta, math.inf, 3)
+        with pytest.raises(ValueError):
+            cli.rho_table(0.0, math.nan, 3)
 
 
 class TestBenchSuites:
@@ -343,7 +355,10 @@ class TestMain:
           "dir_bound": 1.0, "theta": 1.0}, "theta must be in (0, 1), got 1.0"),
         ({"kind": "bounded_random", "bound": 0.01, "seed": 1.7},
          "seed must be an integer, got 1.7"),
-    ], ids=["jam-theta-1", "seed-float"])
+        ({"kind": "bounded_random", "bound": 1e308, "seed": 1},
+         "noise model 'bounded_random': bound must be at most "
+         "8.988465674311579e+307"),
+    ], ids=["jam-theta-1", "seed-float", "bound-overflows"])
     def test_bad_noise_parameter_is_a_usage_error(self, tmp_path, capsys,
                                                   spec, expected):
         data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()
@@ -485,6 +500,11 @@ class TestMain:
 
     def test_rho_table_bad_range(self, capsys):
         assert cli.main(["rho-table", "--min", "1", "--max", "1"]) == 2
+        assert cli.main(["rho-table", "--min", "1e-300", "--max", "inf",
+                         "--points", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith("error: max must be finite, got inf\n")
+        assert captured.out == ""
 
     def test_unknown_suite(self, capsys):
         assert cli.main(["bench", "zzz"]) == 2

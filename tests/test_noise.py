@@ -3,6 +3,8 @@ jamming/dragging adversaries and their activation logic, the robustness
 bound calculator, and the jamming demonstration harness."""
 import hashlib
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,15 @@ from directseek.noise import (
 )
 
 D = np.array([1.0, 0.0])
+
+# Valid parameters for each registered noise kind.
+VALID = {
+    "zero": {},
+    "adversarial_jam": {"bound": 0.5, "grad_bound": 1.0, "dir_bound": 1.0,
+                        "theta": 0.5},
+    "adversarial_drag": {"grad_bound": 1.0, "dir_bound": 1.0, "start": 1},
+    "bounded_random": {"bound": 0.1, "seed": np.int64(3)},
+}
 
 
 def digest(values) -> str:
@@ -58,6 +69,14 @@ class TestBoundedRandomNoise:
         model.reset()
         second = [model.sample(k, 0.5, D) for k in range(1, 50)]
         assert first == second
+
+    def test_half_the_largest_float_is_a_valid_bound(self):
+        # The widest bound whose width 2 * bound is finite; 1100 samples
+        # cross a block boundary.
+        bound = sys.float_info.max / 2
+        model = get_noise("bounded_random", bound=bound, seed=3)
+        values = [model.sample(k, 0.5, D) for k in range(1, 1101)]
+        assert all(math.isfinite(v) and abs(v) <= bound for v in values)
 
     @pytest.mark.parametrize("bound", [0.0, 1e-6, 0.25])
     def test_block_draws_equal_scalar_draws(self, bound):
@@ -162,6 +181,39 @@ class TestPhasedNoise:
         phased.reset()
         second = [phased.sample(k, 0.1, D) for k in range(1, 12)]
         assert first == second
+
+
+class TestHistory:
+    """Every model keeps its emissions in one packed float64 buffer."""
+
+    @pytest.mark.parametrize("kind", [*noise.NOISE_BUILDERS, "phased"])
+    def test_history_is_a_float64_array(self, kind):
+        if kind == "phased":
+            model = PhasedNoise([(ZeroNoise(), 1),
+                                 (BoundedRandomNoise(0.5, seed=1), 4)])
+        else:
+            model = noise.NOISE_BUILDERS[kind](**VALID[kind])
+        assert model.history.typecode == "d"
+        values = [model.sample(k, 0.2, D) for k in range(1, 8)]
+        assert model.history.tolist() == values
+        model.reset()
+        assert model.history.typecode == "d"
+        assert len(model.history) == 0
+
+    def test_a_sample_keeps_at_most_twelve_bytes(self):
+        # 8 B per value, the buffer's slack and the current 1024-value
+        # block; a list of floats keeps about 33 B per sample.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = BoundedRandomNoise(0.1, seed=1)
+            for k in range(1, 20001):
+                model.sample(k, 0.5, D)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(model.history) == 20000
+        assert held <= 12 * 20000
 
 
 class TestRobustnessBound:
@@ -296,20 +348,17 @@ class TestRegistry:
          "bound must be a finite number >= 0, got -0.1"),
         ("bounded_random", {"bound": "0.1"},
          "bound must be a finite number >= 0, got '0.1'"),
+        ("bounded_random", {"bound": 1e308},
+         "bound must be at most 8.988465674311579e+307 so that 2 * bound is "
+         "finite, got 1e+308"),
         ("bounded_random", {"seed": 1.7}, "seed must be an integer, got 1.7"),
         ("bounded_random", {"seed": True}, "seed must be an integer, got True"),
     ], ids=["jam-theta-1", "jam-theta-0", "jam-theta-nan", "jam-bound-negative",
             "jam-grad-inf", "drag-dir-nan", "drag-start-float",
             "random-bound-nan", "random-bound-negative", "random-bound-str",
-            "random-seed-float", "random-seed-bool"])
+            "random-bound-overflows", "random-seed-float", "random-seed-bool"])
     def test_bad_parameters_are_rejected(self, kind, params, expected):
-        valid = {
-            "adversarial_jam": {"bound": 0.5, "grad_bound": 1.0,
-                                "dir_bound": 1.0, "theta": 0.5},
-            "adversarial_drag": {"grad_bound": 1.0, "dir_bound": 1.0,
-                                 "start": 1},
-            "bounded_random": {"bound": 0.1, "seed": np.int64(3)},
-        }[kind]
+        valid = VALID[kind]
         get_noise(kind, **valid)
         with pytest.raises(ValueError) as info:
             noise.NOISE_BUILDERS[kind](**{**valid, **params})

@@ -358,17 +358,20 @@ class TestIterateLog:
         assert_same_records(before, state.iterate_log)
 
 
-def noisy_robust_walk(jumps=2000):
+def noisy_robust_walk(jumps=2000, noise=None):
     """Both routes on the 4-D noisy robust quadratic of `walker_noisy`,
-    over ``jumps`` measurements: ``(state, arc)``."""
+    over ``jumps`` measurements: ``(state, arc)``.  ``noise`` is the
+    walker's model, a fresh one of that bound and seed if not given."""
     n = 4
+    if noise is None:
+        noise = BoundedRandomNoise(1e-6, seed=0)
     objective = core.make_random_spd_quadratic(dimension=n, seed=0)
     cfg = AlgorithmConfig(lambda_s=0.1, phi_min=0.001)
     axes = [np.eye(n)[i] for i in range(n)]
     state = rsp.run(objective, np.zeros(n), cfg,
                     StopRule(max_evaluations=jumps),
                     directions=DirectionSet(axes, [0.5] * n),
-                    noise=BoundedRandomNoise(1e-6, seed=0))
+                    noise=noise)
     arc = hybrid.run_closed_loop(
         ExactPlant(n), objective, PlantState(np.zeros(n)),
         hybrid.make_controller(axes, [0.5] * n, 1.0), cfg,
@@ -398,9 +401,10 @@ class TestWalkerLogRecords:
         gc.collect()
         tracemalloc.start()
         try:
-            state, _ = noisy_robust_walk()
-            log = state.iterate_log
-            del state
+            noise = BoundedRandomNoise(1e-6, seed=0)
+            state, _ = noisy_robust_walk(noise=noise)
+            log, history = state.iterate_log, noise.history
+            del state, noise
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
             rows = log.rows
@@ -416,12 +420,21 @@ class TestWalkerLogRecords:
             del log, rows
             gc.collect()
             retained = held - tracemalloc.get_traced_memory()[0]
+            samples = len(history)
+            del history
+            gc.collect()
+            history_retained = (held - retained
+                                - tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
         assert (records, nbytes) == (2000, 2000 * itemsize)
         # The records, the anchor table and the buffer's slack; a record
         # object per measurement would hold several times the records.
         assert nbytes + anchors <= retained <= 2 * nbytes
+        # The noise history is 8 B per measurement and the buffer's slack;
+        # a list of floats holds about 33 B per measurement.
+        assert samples == 2000
+        assert 8 * samples <= history_retained <= 12 * samples
 
     def test_records_are_the_measurements(self, monkeypatch):
         # Each record field for field against what the walk did: the
