@@ -39,6 +39,7 @@ from .core import (
     DirectionSet,
     EvaluationError,
     StopRule,
+    finite_number,
     get_objective,
     log_rho,
     rho,
@@ -61,6 +62,20 @@ __all__ = [
 
 _C8 = math.cos(math.pi / 8.0)
 _S8 = math.sin(math.pi / 8.0)
+
+
+def _oversized(value, path: str = "") -> list[str]:
+    """The config paths under ``value`` of the integers too large for a
+    float (`finite_number`), such as ``initial.x[0]``."""
+    if isinstance(value, dict):
+        return [p for key, item in value.items()
+                for p in _oversized(item, f"{path}.{key}" if path else key)]
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value)
+                for p in _oversized(item, f"{path}[{i}]")]
+    if isinstance(value, int) and not finite_number(value):
+        return [path]
+    return []
 
 
 def _reject_unknown(what: str, data: dict, known: Sequence[str]) -> None:
@@ -276,10 +291,15 @@ def run_experiment(
     directory receives ``arc.csv``, ``config.json``, ``summary.json`` and,
     for non-zero noise models, ``noise.csv``.  Raises `ConfigError` for a
     key no part of the run reads, a missing start key, a parameter a builder
-    does not take or a value it rejects, or (through `core.check_run`) an
-    invalid algorithm, a dense-row count or stop limit of the wrong type or
-    sign, or dimensions that disagree.
+    does not take or a value it rejects, an integer too large for a float in
+    any field, or (through `core.check_run`) an invalid algorithm, a
+    dense-row count or stop limit of the wrong type or sign, or dimensions
+    that disagree.
     """
+    oversized = _oversized(config.to_dict())
+    if oversized:
+        raise ConfigError([f"{path} is an integer too large for a float"
+                           for path in oversized])
     try:
         algo = AlgorithmConfig(**config.algorithm)
     except TypeError as exc:

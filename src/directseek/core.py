@@ -26,6 +26,7 @@ __all__ = [
     "direction_determinant",
     "AlgorithmConfig",
     "validate_config",
+    "finite_number",
     "ConfigError",
     "StopRule",
     "budget_violations",
@@ -239,12 +240,23 @@ _RANGES = {
 }
 
 
+def finite_number(x) -> bool:
+    """True when ``x`` is a real number, not a bool, whose float is finite;
+    an integer too large for a float is not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def validate_config(cfg: AlgorithmConfig) -> list[str]:
     """Return a list of human-readable constraint violations (empty if valid).
 
-    Each field must be a finite real number other than a bool, in its
-    `_RANGES` range, and ``mu * lambda_t < 1``; a field that fails one
-    check skips the next.
+    Each field must be a real number other than a bool, finite as a float
+    (`finite_number`), in its `_RANGES` range, and ``mu * lambda_t < 1``; a
+    field that fails one check skips the next.
     """
     v: list[str] = []
     in_range = set()
@@ -252,7 +264,7 @@ def validate_config(cfg: AlgorithmConfig) -> list[str]:
         x = getattr(cfg, name)
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
             v.append(f"{name} must be a number, got {x!r}")
-        elif not math.isfinite(x):
+        elif not finite_number(x):
             v.append(f"{name} must be finite (got {x})")
         elif not holds(x):
             v.append(f"{name} must be {rule} (got {x})")
@@ -363,7 +375,7 @@ def scale_violations(
     named.append(("active step", active_step))
     return [f"{name} must be a finite number >= 0, got {x!r}"
             for name, x in named if x is not None
-            and not (isinstance(x, numbers.Real) and 0 <= x < math.inf)]
+            and not (finite_number(x) and x >= 0)]
 
 
 def check_run(

@@ -689,7 +689,9 @@ def equivalence_check(
     is False when the routes diverge or fewer than ``min_points``
     measurements can be compared.  Every report also gives
     ``first_case_split``.  Positions and cases are compared column against
-    column, in one vectorised pass each; no `EvalRecord` is built.
+    column, in one vectorised pass each: the walker's points are rebuilt by
+    `rsp.IterateLog.points` for the compared prefix only, and no
+    `EvalRecord` is built.
     """
     rows = arc.jump_rows()
     log = rsp_log.rows
@@ -710,7 +712,7 @@ def equivalence_check(
             first_case_split=split,
         )
     hybrid_points = arc.rows["x"][rows[:m]]
-    rsp_points = log["x"][:m]
+    rsp_points = rsp_log.points(m)
     errors = np.abs(hybrid_points - rsp_points).max(axis=1, initial=0.0)
     diverged = np.flatnonzero(errors > tol)
     if len(diverged):

@@ -36,6 +36,7 @@ from .core import (
     AlgorithmConfig,
     StopRule,
     build_registered,
+    finite_number,
     rho,
     rho_underflows,
 )
@@ -60,9 +61,9 @@ __all__ = [
 
 
 def _bound(name: str, value) -> float:
-    """``value`` as a float, if it is a finite real number >= 0."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 <= value < math.inf):
+    """``value`` as a float, if it is a finite real number >= 0 (see
+    `core.finite_number`)."""
+    if not (finite_number(value) and value >= 0):
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
     return float(value)
 
@@ -441,11 +442,12 @@ def jam_demo(
     from that measurement index onward (the offset resets at the switch),
     demonstrating guided escape from the sublevel set.
 
-    The audit reads the walker's `rsp.IterateLog` by its columns: the rows
-    of the jam phase, their anchors and probes are selected with masks, and
-    no `rsp.EvalRecord` is built.  Each margin is evaluated as
+    The audit reads the walker's `rsp.IterateLog` by its columns and its
+    rebuilt `rsp.IterateLog.points`: the rows of the jam phase, their
+    anchors and probes are selected with masks, and no `rsp.EvalRecord` is
+    built.  Each margin is evaluated as
     ``f(probe) + n_s(k) - (f(anchor) + n_s(k-1) - rho(delta))``, in that
-    order, at copies of the logged points.
+    order, at the rebuilt probes and copies of the anchors.
     """
     x0 = np.asarray(x0, dtype=float)
     lo, hi = initial_sublevel_box(objective, x0)
@@ -477,7 +479,8 @@ def jam_demo(
     frozen_anchor: Optional[np.ndarray] = None
     history = model.history
     jam_end = budget if drag_start is None else min(budget, drag_start - 1)
-    rows, anchors = state.iterate_log.rows, state.iterate_log.anchors
+    log = state.iterate_log
+    rows, anchors, points = log.rows, log.anchors, log.points()
     if k_star is not None:
         # Record ``index`` is row number + 1: the rows with index in
         # [k_star, jam_end].
@@ -492,7 +495,7 @@ def jam_demo(
                                 | (kind == rsp.KINDS.index("probe_neg")))
         # Fancy indexing copies, so the objective reads whole float64 rows.
         for k, x, anchor, delta in zip(
-                (probes + k_star).tolist(), post["x"][probes],
+                (probes + k_star).tolist(), points[probes + k_star - 1],
                 anchors[post["line"][probes]], post["delta"][probes].tolist()):
             n_k = history[k - 1]
             n_prev = history[k - 2] if k >= 2 else 0.0
@@ -507,7 +510,7 @@ def jam_demo(
     if drag_start is not None:
         f0 = float(objective(x0))
         escaped = any(float(objective(x)) > f0
-                      for x in rows["x"][drag_start - 1:].copy())
+                      for x in points[drag_start - 1:])
 
     return JamDemoReport(
         activation_index=k_star,

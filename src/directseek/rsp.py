@@ -13,9 +13,11 @@ and draws fresh noise.
 
 The log is an `IterateLog`: one fixed-width `log_dtype` record per
 measurement, packed into a byte buffer as the walk runs and read as a numpy
-structured array after it, plus each line minimization's anchor once.  No
-per-measurement object outlives its measurement; the log builds an
-`EvalRecord` per access.
+structured array after it, plus each line minimization's anchor once and a
+table of the directions walked.  Every measured point lies on its line,
+``anchor + s * v``, so a record keeps the scalar ``s``, not the point;
+`IterateLog.points` rebuilds the points bitwise.  No per-measurement object
+outlives its measurement; the log builds an `EvalRecord` per access.
 
 A cycle over ``n`` directions runs ``n + 1`` line minimizations: the newest
 direction is explored first AND last, and the total displacement accumulated
@@ -23,6 +25,7 @@ over the cycle becomes the candidate that replaces the oldest direction.
 """
 from __future__ import annotations
 
+import array
 import math
 import struct
 from collections.abc import Sequence
@@ -70,7 +73,8 @@ class EvalRecord:
     measurement; ``index`` is the 1-based global measurement counter.
 
     ``x`` and ``anchor`` are new arrays with the bytes of the measured point
-    and of the line's anchor; changing them leaves the log as it was.
+    (rebuilt as `IterateLog.points` rebuilds it) and of the line's anchor;
+    changing them leaves the log as it was.
     """
 
     index: int
@@ -91,37 +95,45 @@ _PROBE_POS, _PROBE_NEG, _REANCHOR, _CLOSE = range(len(KINDS))
 
 
 def log_dtype(n: int) -> np.dtype:
-    """The record of one measurement of an ``n``-D walk: packed, in native
-    byte order, field for field what `_log_struct` packs.  ``line`` is the
-    row of `IterateLog.anchors` that holds the line minimization's anchor."""
+    """The record of one measurement of an ``n``-D walk, 34 B for every
+    ``n``: packed, in native byte order, field for field what `_log_struct`
+    packs.  ``line`` is the row of `IterateLog.anchors` that holds the line
+    minimization's anchor, and ``s`` the scalar the line's direction was
+    multiplied by (a re-anchor's point is the anchor itself)."""
     return np.dtype([
-        ("x", "f8", (n,)), ("measured", "f8"), ("delta", "f8"),
+        ("s", "f8"), ("measured", "f8"), ("delta", "f8"),
         ("line", "i4"), ("step", "i4"), ("kind", "i1"), ("accepted", "?"),
     ])
 
 
 def _log_struct(n: int) -> struct.Struct:
-    """The packer of one `log_dtype` record; ``x`` goes in as its bytes."""
-    return struct.Struct(f"={8 * n}s2d2ib?")
+    """The packer of one `log_dtype` record."""
+    return struct.Struct("=3d2ib?")
 
 
 class IterateLog(Sequence):
     """The walker's measurements: ``rows`` holds one `log_dtype` record per
-    measurement, in order, and ``anchors`` one row per line minimization
-    with its anchor.
+    measurement, in order, ``anchors`` one row per line minimization with
+    its anchor, ``directions`` the directions walked (the start's ``n``,
+    then the one each cycle close adds) and ``line_directions`` the row of
+    ``directions`` each line minimization walked.
 
     Nothing derivable is stored: a record's ``index`` is its row number
     plus 1, its ``kind`` a code into `KINDS`, and its ``cycle`` and ``slot``
     follow from ``line``, since a walk runs ``n + 1`` lines per cycle from
-    slot counter 0.  Indexing builds one `EvalRecord` per access (a slice
-    gives a list of them), so ``len`` builds none.
+    slot counter 0.  Nor is its point: `points` rebuilds it.  Indexing
+    builds one `EvalRecord` per access (a slice gives a list of them), so
+    ``len`` builds none.
     """
 
-    __slots__ = ("rows", "anchors")
+    __slots__ = ("rows", "anchors", "directions", "line_directions")
 
-    def __init__(self, rows: np.ndarray, anchors: np.ndarray) -> None:
+    def __init__(self, rows: np.ndarray, anchors: np.ndarray,
+                 directions: np.ndarray, line_directions: np.ndarray) -> None:
         self.rows = rows
         self.anchors = anchors
+        self.directions = directions
+        self.line_directions = line_directions
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -130,11 +142,29 @@ class IterateLog(Sequence):
         if isinstance(i, slice):
             return [self[k] for k in range(len(self))[i]]
         i = range(len(self))[i]
-        x, measured, delta, line, step, kind, accepted = self.rows[i].item()
+        s, measured, delta, line, step, kind, accepted = self.rows[i].item()
         cycle, slot = divmod(line, self.anchors.shape[1] + 1)
-        return EvalRecord(i + 1, cycle, slot, step, x.copy(), measured,
-                          KINDS[kind], accepted, self.anchors[line].copy(),
-                          delta)
+        anchor = self.anchors[line]
+        x = (anchor.copy() if kind == _REANCHOR else
+             anchor + s * self.directions[self.line_directions[line]])
+        return EvalRecord(i + 1, cycle, slot, step, x, measured, KINDS[kind],
+                          accepted, anchor.copy(), delta)
+
+    def points(self, stop: Optional[int] = None) -> np.ndarray:
+        """The measured points of the first ``stop`` records (all of them
+        by default), one row each.
+
+        Each is ``anchor + s * v`` from its line's anchor and direction, the
+        elementwise IEEE operations the walker made, so the rows are bitwise
+        the points it measured; a re-anchor's row is its anchor.
+        """
+        rows = self.rows[:stop]
+        anchors = self.anchors[rows["line"]]
+        points = anchors + rows["s"][:, None] * self.directions[
+            self.line_directions[rows["line"]]]
+        reanchor = rows["kind"] == _REANCHOR
+        points[reanchor] = anchors[reanchor]
+        return points
 
 
 @dataclass
@@ -175,8 +205,7 @@ class _Meter:
     """Counts objective measurements, applies noise, enforces the cap.
 
     Keeps the field value of the last two measurements under the measured
-    point's ``x.tobytes()``; ``key1`` holds the bytes of the latest, which
-    the log packs as its ``x``.  A measurement whose bytes equal those of the
+    point's ``x.tobytes()``.  A measurement whose bytes equal those of the
     measurement two before (a re-measure at the anchor or the best point)
     reuses that value and does not call the objective; noise is still drawn
     at every measurement.  The start is never measured, so it has no slot.
@@ -223,17 +252,18 @@ def _line_minimize(
     point is computed from the anchor as ``anchor + lam * v`` (never
     incrementally), so rejected probes cannot perturb the iterate.  Each
     measurement appends one `log_dtype` record to ``log``, packed by
-    ``pack`` with the measured point's bytes as ``meter`` keyed them and
-    ``line``, the row of the anchor in `IterateLog.anchors`.
+    ``pack`` with the scalar ``s`` of its point ``anchor + s * v`` (0.0 for
+    the re-anchor, which measures ``anchor`` itself) and ``line``, the row
+    of the anchor in `IterateLog.anchors`.
 
     Returns ``(lam, delta_final, close_value, best_point)`` where
     ``close_value`` is the re-measurement at the best point that ends the
     line minimization.
     """
 
-    def emit(y: float, kind: int, accepted: bool, step: int,
+    def emit(s: float, y: float, kind: int, accepted: bool, step: int,
              delta_used: float) -> None:
-        log.extend(pack(meter.key1, y, delta_used, line, step, kind, accepted))
+        log.extend(pack(s, y, delta_used, line, step, kind, accepted))
 
     lam = 0.0
     accepted = 0
@@ -241,40 +271,40 @@ def _line_minimize(
     # Positive sweep.
     while True:
         delta_used = delta
-        probe = anchor + (lam + delta) * v
-        y = meter.measure(probe, delta, v)
+        s = lam + delta
+        y = meter.measure(anchor + s * v, delta, v)
         if y <= z - rho(delta):
             lam += delta
             z = y
             delta = min(cfg.gamma * delta, cfg.lambda_t * phi)
             accepted += 1
-            emit(y, _PROBE_POS, True, accepted, delta_used)
+            emit(s, y, _PROBE_POS, True, accepted, delta_used)
             continue
-        emit(y, _PROBE_POS, False, accepted, delta_used)
+        emit(s, y, _PROBE_POS, False, accepted, delta_used)
         break
 
     if accepted == 0:
         # First probe failed: re-anchor, then sweep the negative side.
         y = meter.measure(anchor, delta, v)
         z = y
-        emit(y, _REANCHOR, False, 0, delta)
+        emit(0.0, y, _REANCHOR, False, 0, delta)
         while True:
             delta_used = delta
-            probe = anchor + (lam - delta) * v
-            y = meter.measure(probe, delta, v)
+            s = lam - delta
+            y = meter.measure(anchor + s * v, delta, v)
             if y <= z - rho(delta):
                 lam -= delta
                 z = y
                 delta = min(cfg.gamma * delta, cfg.lambda_t * phi)
                 accepted += 1
-                emit(y, _PROBE_NEG, True, accepted, delta_used)
+                emit(s, y, _PROBE_NEG, True, accepted, delta_used)
                 continue
-            emit(y, _PROBE_NEG, False, accepted, delta_used)
+            emit(s, y, _PROBE_NEG, False, accepted, delta_used)
             break
 
     best = anchor + lam * v
     y = meter.measure(best, delta, v)
-    emit(y, _CLOSE, False, accepted, delta)
+    emit(lam, y, _CLOSE, False, accepted, delta)
     return lam, delta, y, best
 
 
@@ -297,6 +327,11 @@ class _Walker:
         self.log = bytearray()
         self.pack = _log_struct(state.dimension).pack
         self.anchors = bytearray()
+        # The directions walked: the start's, then one per cycle close, so
+        # slot ``a`` of cycle ``c`` is row ``c + a``.
+        self.directions = bytearray(
+            b"".join(d.tobytes() for d in state.directions.directions))
+        self.line_directions = array.array("i")
 
     # -- one line minimization at the current counter ----------------------
 
@@ -306,6 +341,7 @@ class _Walker:
         a = active_slot(c, st.dimension)
         v = st.directions.directions[a]
         self.anchors += st.x.tobytes()
+        self.line_directions.append(st.cycles + a)
         lam, delta_end, z_close, best = _line_minimize(
             self.meter,
             st.x,
@@ -343,6 +379,7 @@ class _Walker:
             lam, v, cfg,
         )
         st.directions = DirectionSet(dirs, steps)
+        self.directions += st.directions.directions[-1].tobytes()
         st.blocked_cycles += blocked
         st.alpha = np.zeros(n)
         st.alpha_bar = 0.0
@@ -364,7 +401,9 @@ class _Walker:
         numpy view locks a ``bytearray`` against resizing)."""
         n = self.st.dimension
         return IterateLog(np.frombuffer(self.log, log_dtype(n)),
-                          np.frombuffer(self.anchors).reshape(-1, n))
+                          np.frombuffer(self.anchors).reshape(-1, n),
+                          np.frombuffer(self.directions).reshape(-1, n),
+                          np.frombuffer(self.line_directions, np.intc))
 
 
 def run(

@@ -350,6 +350,28 @@ class TestMain:
             f"- missing start key {k}" for k in expected]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("field, put", [
+        ("noise.bound", lambda data, v: data["noise"].update(bound=v)),
+        ("algorithm.gamma", lambda data, v: data["algorithm"].update(gamma=v)),
+        ("initial.x[0]", lambda data, v: data["initial"]["x"].__setitem__(0, v)),
+        ("initial.controller.phi",
+         lambda data, v: data["initial"]["controller"].update(phi=v)),
+    ], ids=["noise-bound", "gamma", "initial-x", "controller-phi"])
+    def test_an_integer_too_large_for_a_float_is_a_usage_error(
+            self, tmp_path, capsys, field, put):
+        # Converting it raised OverflowError: exit 1 with a traceback.
+        data = cli.scenario_config("fig1_quadratic_pointmass").to_dict()
+        data["noise"] = {"kind": "bounded_random", "bound": 0.01, "seed": 1}
+        put(data, 10**400)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid configuration:",
+            f"  - {field} is an integer too large for a float"]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("spec, expected", [
         ({"kind": "adversarial_jam", "bound": 0.5, "grad_bound": 1.0,
           "dir_bound": 1.0, "theta": 1.0}, "theta must be in (0, 1), got 1.0"),

@@ -230,6 +230,12 @@ class TestConfigValidation:
         v = core.validate_config(core.AlgorithmConfig(**{name: value}))
         assert v == [f"{name} must be finite (got {value})"]
 
+    def test_an_integer_too_large_for_a_float_is_not_finite(self):
+        # math.isfinite raises OverflowError on it.
+        v = core.validate_config(core.AlgorithmConfig(gamma=10**400, theta=1))
+        assert v == [f"gamma must be finite (got {10**400})",
+                     "theta must be in (0, 1) (got 1)"]
+
     def test_numpy_scalars_are_numbers(self):
         cfg = core.AlgorithmConfig(gamma=np.float64(1.2), mu=np.int64(0))
         assert core.validate_config(cfg) == ["mu must be in (0, 1) (got 0)"]
@@ -542,6 +548,8 @@ class TestRunCheck:
             "1", [1.0, -math.inf]) == [
             "start phi must be a finite number >= 0, got '1'",
             "stored step 1 must be a finite number >= 0, got -inf"]
+        assert core.scale_violations(10**400) == [
+            f"start phi must be a finite number >= 0, got {10**400!r}"]
 
     def test_nominal_mode_skips_the_determinant(self):
         core.check_run(core.AlgorithmConfig(), core.StopRule(max_cycles=1),

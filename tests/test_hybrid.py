@@ -1217,7 +1217,8 @@ class TestCaseSplit:
         assert equivalence_check(arc, log).first_case_split is None
         for i in (37, 0):
             kind = "reanchor" if log[i].kind == "close" else "close"
-            bad = rsp.IterateLog(log.rows.copy(), log.anchors)
+            bad = rsp.IterateLog(log.rows.copy(), log.anchors,
+                                 log.directions, log.line_directions)
             bad.rows["kind"][i] = rsp.KINDS.index(kind)
             bad.rows["accepted"][i] = False
             report = equivalence_check(arc, bad, min_points=100)

@@ -353,10 +353,13 @@ class TestRegistry:
          "finite, got 1e+308"),
         ("bounded_random", {"seed": 1.7}, "seed must be an integer, got 1.7"),
         ("bounded_random", {"seed": True}, "seed must be an integer, got True"),
+        ("bounded_random", {"bound": 10**400},
+         f"bound must be a finite number >= 0, got {10**400!r}"),
     ], ids=["jam-theta-1", "jam-theta-0", "jam-theta-nan", "jam-bound-negative",
             "jam-grad-inf", "drag-dir-nan", "drag-start-float",
             "random-bound-nan", "random-bound-negative", "random-bound-str",
-            "random-bound-overflows", "random-seed-float", "random-seed-bool"])
+            "random-bound-overflows", "random-seed-float", "random-seed-bool",
+            "random-bound-int-overflows"])
     def test_bad_parameters_are_rejected(self, kind, params, expected):
         valid = VALID[kind]
         get_noise(kind, **valid)

@@ -14,7 +14,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from directseek import core, hybrid, rsp
 from directseek.core import AlgorithmConfig, DirectionSet, StopRule
-from directseek.noise import BoundedRandomNoise, jam_demo
+from directseek.rsp import KINDS
+from directseek.noise import BoundedRandomNoise, ZeroNoise, jam_demo
 from directseek.plants import ExactPlant, PlantState
 from exact_mode import exact_cycles, exact_line_search, spd_hessian
 
@@ -394,7 +395,8 @@ class TestWalkerLogRecords:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_the_packer_writes_the_record(self, n):
-        assert rsp._log_struct(n).size == rsp.log_dtype(n).itemsize
+        # A record keeps its point's line coordinate, not its n coordinates.
+        assert rsp._log_struct(n).size == rsp.log_dtype(n).itemsize == 34
 
     def test_the_log_holds_no_per_measurement_objects(self, monkeypatch):
         state, arc = noisy_robust_walk()
@@ -410,6 +412,7 @@ class TestWalkerLogRecords:
             rows = log.rows
             nbytes, itemsize = rows.nbytes, rows.dtype.itemsize
             records, anchors = len(rows), log.anchors.nbytes
+            table = log.directions.nbytes + log.line_directions.nbytes
             built = counting_records(monkeypatch)
             assert len(log) == 2000
             assert hybrid.equivalence_check(arc, log, tol=1e-9,
@@ -428,9 +431,10 @@ class TestWalkerLogRecords:
         finally:
             tracemalloc.stop()
         assert (records, nbytes) == (2000, 2000 * itemsize)
-        # The records, the anchor table and the buffer's slack; a record
-        # object per measurement would hold several times the records.
-        assert nbytes + anchors <= retained <= 2 * nbytes
+        # The records, the anchor and direction tables, each line's
+        # direction row and the buffers' slack; a record object per
+        # measurement would hold several times the records.
+        assert nbytes + anchors + table <= retained <= 2 * nbytes
         # The noise history is 8 B per measurement and the buffer's slack;
         # a list of floats holds about 33 B per measurement.
         assert samples == 2000
@@ -487,6 +491,112 @@ class TestWalkerLogRecords:
                           AlgorithmConfig(), 0.5, budget=280, drag_start=200)
         assert report.frozen_iterations > 0 and report.escaped is not None
         assert built == []
+
+
+def recording_walk(objective, x0, cfg, stop, directions, noise, **kwargs):
+    """`rsp.run` with ``objective`` logging, at each call, the measurement's
+    row (the noise history holds one value per earlier measurement, since
+    noise is drawn after the call) and a copy of the argument:
+    ``(state, seen)``."""
+    seen = []
+
+    def evaluate(x):
+        seen.append((len(noise.history), x.copy()))
+        return objective.evaluate(x)
+
+    recorder = core.ObjectiveFunction("recording", objective.dimension,
+                                      evaluate)
+    state = rsp.run(recorder, x0, cfg, stop, directions=directions,
+                    noise=noise, **kwargs)
+    return state, seen
+
+
+def assert_points_are_the_arguments(log, seen):
+    """Each rebuilt point and each record's ``x`` is bitwise the argument of
+    the objective call its measurement made; a measurement that made no call
+    reused the value of the one two before, whose point is bitwise its own."""
+    points = log.points()
+    called = dict(seen)
+    assert len(called) == len(seen)
+    assert points.shape == (len(log), log.anchors.shape[1])
+    for i, point in enumerate(points):
+        expected = called[i] if i in called else points[i - 2]
+        assert i in called or i >= 2
+        assert point.tobytes() == expected.tobytes()
+        assert log[i].x.tobytes() == point.tobytes()
+    half = len(log) // 2
+    assert log.points(half).tobytes() == points[:half].tobytes()
+
+
+def rotated_walk(n, budget, cfg=None):
+    """A seeded noisy walk of ``n`` dimensions from a random start along a
+    random orthonormal frame, its objective's arguments recorded."""
+    rng = np.random.default_rng(n)
+    frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return recording_walk(
+        core.make_random_spd_quadratic(dimension=n, seed=n),
+        rng.uniform(-1.0, 1.0, n), cfg or AlgorithmConfig(),
+        StopRule(max_evaluations=budget),
+        DirectionSet(list(frame), [0.5] * n), BoundedRandomNoise(1e-3, seed=n))
+
+
+class TestRebuiltPoints:
+    """A record keeps its point's line coordinate ``s``; `IterateLog.points`
+    rebuilds ``anchor + s * v`` bitwise as the walker measured it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_seeded_noisy_walks(self, n):
+        state, seen = rotated_walk(n, 2000)
+        log = state.iterate_log
+        assert len(log) == 2000 > len(seen)
+        assert set(KINDS[k] for k in log.rows["kind"]) == set(KINDS)
+        assert_points_are_the_arguments(log, seen)
+
+    def test_the_direction_table_follows_the_slot_map(self):
+        n = 2
+        state, _ = rotated_walk(n, 500)
+        log = state.iterate_log
+        # The start's directions, then the one each cycle close added.
+        assert len(log.directions) == n + state.cycles
+        lines = range(len(log.anchors))
+        assert log.line_directions.tolist() == [
+            line // (n + 1) + core.active_slot(line % (n + 1), n)
+            for line in lines]
+        assert log.directions[-n:].tobytes() == np.array(
+            state.directions.directions).tobytes()
+
+    def test_a_budget_stop_mid_cycle(self):
+        n = 4
+        state, seen = rotated_walk(n, 63)
+        log = state.iterate_log
+        assert state.stopped == "max_evaluations"
+        # The budget ends the cycle's closing line between two probes.
+        assert (state.k, log[-1].slot, log[-1].kind) == (4, 4, "probe_neg")
+        assert_points_are_the_arguments(log, seen)
+
+    def test_a_robust_cycle_that_recycles_the_oldest_direction(self):
+        n = 4
+        state, seen = rotated_walk(
+            n, 2000, AlgorithmConfig(lambda_s=0.1, phi_min=0.001))
+        log = state.iterate_log
+        table = [row.tobytes() for row in log.directions]
+        # The guard rejected the candidate and the close re-appended d0.
+        recycled = [c for c in range(state.cycles) if table[n + c] == table[c]]
+        assert recycled and recycled[0] + 1 < state.cycles
+        assert n + recycled[0] in log.line_directions.tolist()
+        assert_points_are_the_arguments(log, seen)
+
+    def test_a_first_line_re_anchor_at_the_start(self):
+        # -0.0 + 0.0 * 1.0 would be 0.0: the re-anchor's point is the anchor.
+        x0 = np.array([1.5, -0.0])
+        state, seen = recording_walk(
+            core.make_aniso_quadratic(), x0, AlgorithmConfig(),
+            StopRule(max_evaluations=40), TestFieldReuse.AXES, ZeroNoise(),
+            phi0=0.5)
+        log = state.iterate_log
+        assert [r.kind for r in log[:2]] == ["probe_pos", "reanchor"]
+        assert log.points()[1].tobytes() == x0.tobytes()
+        assert_points_are_the_arguments(log, seen)
 
 
 def signed_objective(seen):
