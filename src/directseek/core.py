@@ -4,13 +4,15 @@ Provides the sufficient-decrease threshold ``rho`` with explicit underflow
 reporting, small dense linear-algebra helpers for direction sets,
 the rules that the walker (`directseek.rsp`) and the controller
 (`directseek.hybrid`) share -- the run check, the stop rule, the slot map,
-the determinant guard and the cycle-close rebuild -- and a registry of
-benchmark objective functions with optional analytic gradients.
+the determinant guard, the cycle-close rebuild, the measurement rule
+(`Meter`) and the packing of their log records (`record_struct`) -- and a
+registry of benchmark objective functions with optional analytic gradients.
 """
 from __future__ import annotations
 
 import math
 import numbers
+import struct
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -42,6 +44,8 @@ __all__ = [
     "close_cycle",
     "ObjectiveFunction",
     "EvaluationError",
+    "Meter",
+    "record_struct",
     "make_sphere",
     "make_aniso_quadratic",
     "make_rosenbrock",
@@ -540,12 +544,11 @@ class ObjectiveFunction:
     """A scalar field on ``R^dimension`` to be minimized.
 
     ``evaluate`` maps an n-vector to a float and must be a pure function of
-    ``x``: both routes evaluate it once per distinct measured point (a
-    re-measure bitwise at the point measured two before reuses the value)
-    and add fresh noise at every measurement, and both reject a start whose
-    length is not ``dimension``.  The optional analytic ``gradient`` is read
-    by `noise.gradient_bound_on_box`; ``known_minimizers`` give the run
-    summary its distance to the minimizer.
+    ``x``: both routes measure through a `Meter`, which evaluates it once
+    per distinct measured point and adds fresh noise at every measurement,
+    and both reject a start whose length is not ``dimension``.  The
+    optional analytic ``gradient`` is read by `noise.gradient_bound_on_box`;
+    ``known_minimizers`` give the run summary its distance to the minimizer.
     """
 
     name: str
@@ -561,9 +564,9 @@ class ObjectiveFunction:
 class EvaluationError(RuntimeError):
     """A measurement (objective value plus noise) is non-finite.
 
-    Both routes check each measurement once, after adding noise, and raise
-    this instead of acting on it, so a non-finite objective value and a
-    non-finite noise value fail the run alike.  Carries the offending
+    `Meter` checks each measurement once, after adding noise, and raises
+    this instead of returning it, so a non-finite objective value and a
+    non-finite noise value fail either route alike.  Carries the offending
     ``point`` and the measured ``value``.
     """
 
@@ -571,6 +574,61 @@ class EvaluationError(RuntimeError):
         self.point = np.asarray(point, dtype=float).copy()
         self.value = float(value)
         super().__init__(f"non-finite measurement {value!r} at {self.point!r}")
+
+
+class _BudgetExhausted(Exception):
+    """A `Meter` was asked for a measurement past its cap."""
+
+
+class Meter:
+    """The measurement rule of both routes: the field ``objective(x)`` plus
+    ``noise.sample(count, delta, direction)`` unless ``noise`` is None.
+
+    ``count`` numbers the measurements from 1, and noise is drawn at each.
+    A measurement whose ``x.tobytes()`` equals that of the measurement two
+    before reuses that one's field value instead of calling the objective.
+    A non-finite measurement raises `EvaluationError`; one past ``cap``
+    raises `_BudgetExhausted` uncounted.  ``key1`` is the last point's bytes.
+    """
+
+    __slots__ = ("objective", "noise", "cap", "count", "key1", "key2", "f1", "f2")
+
+    def __init__(self, objective, noise=None, cap: Optional[int] = None):
+        self.objective = objective
+        self.noise = noise
+        self.cap = math.inf if cap is None else cap
+        self.count = 0
+        self.key1 = self.key2 = None
+        self.f1 = self.f2 = 0.0
+
+    def measure(self, x: np.ndarray, delta: float, direction: np.ndarray) -> float:
+        count = self.count
+        if count >= self.cap:
+            raise _BudgetExhausted
+        self.count = count = count + 1
+        key = x.tobytes()
+        y = self.f2 if key == self.key2 else float(self.objective(x))
+        self.key2, self.key1 = self.key1, key
+        self.f2, self.f1 = self.f1, y
+        if self.noise is not None:
+            y += float(self.noise.sample(count, delta, direction))
+        if not math.isfinite(y):
+            raise EvaluationError(x, y)
+        return y
+
+
+# The `struct` code of each scalar kind and size; not ``dtype.char``, since
+# int64's is ``l``, which ``=l`` packs in 4 B.
+_STRUCT_CODES = {"f8": "d", "i8": "q", "i4": "i", "i1": "b", "b1": "?"}
+
+
+def record_struct(dtype: np.dtype) -> struct.Struct:
+    """The packer of one record of the packed structured ``dtype``, in
+    native byte order: a sub-array field as its array's bytes."""
+    fields = [dtype.fields[name][0] for name in dtype.names]
+    return struct.Struct("=" + "".join(
+        f"{f.itemsize}s" if f.shape else _STRUCT_CODES[f"{f.kind}{f.itemsize}"]
+        for f in fields))
 
 
 def make_sphere(dimension: int = 2) -> ObjectiveFunction:

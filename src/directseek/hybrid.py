@@ -21,21 +21,20 @@ negative side already).
 The line-search traversal here is written independently of `directseek.rsp`;
 both routes take the run check, the stop rule, the slot map, the
 determinant guard, the travel meter and the cycle-close rebuild from
-`directseek.core`.  `equivalence_check` verifies the two routes measure
-the field at identical points.  Both evaluate the field once per distinct
-measured point: a re-measure that lands bitwise on the point measured two
-jumps back reuses its objective value and draws fresh noise.
+`directseek.core`, and both measure through `core.Meter`, which evaluates
+the field once per distinct measured point and draws fresh noise at every
+measurement.  `equivalence_check` verifies the two routes measure the field
+at identical points.
 
 A run is logged as a `HybridArc`: one fixed-width record per logged hybrid
-time ``(t, j)``, packed into a byte buffer as the loop runs and read as a
-numpy structured array after it, plus the final plant and controller
-states.  No per-row state outlives its jump; the arc's views build
-`ArcSample` rows on demand.
+time ``(t, j)``, packed by `core.record_struct` into a byte buffer as the
+loop runs and read as a numpy structured array after it, plus the final
+plant and controller states.  No per-row state outlives its jump; the
+arc's views build `ArcSample` rows on demand.
 """
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -46,13 +45,14 @@ import numpy as np
 
 from .core import (
     AlgorithmConfig,
-    EvaluationError,
+    Meter,
     StopRule,
     active_slot,
     check_run,
     close_cycle,
     line_end_step,
     line_travel,
+    record_struct,
     rho,
     stop_reason,
 )
@@ -352,20 +352,14 @@ _CODES = {c: i for i, c in enumerate(CASES) if c is not None}
 
 def row_dtype(n: int, nz: int) -> np.dtype:
     """The record of one arc row for an ``n``-D position and an
-    ``nz``-element internal state: packed, in native byte order, field for
-    field what `_row_struct` packs."""
+    ``nz``-element internal state: packed, in native byte order, as
+    `core.record_struct` packs it."""
     return np.dtype([
         ("t", "f8"), ("j", "i8"), ("case", "i1"),
         ("x", "f8", (n,)), ("zeta", "f8", (nz,)),
         ("f", "f8"), ("z", "f8"), ("phi", "f8"), ("delta", "f8"),
         ("k", "i4"), ("q", "i1"), ("p", "i1"), ("m", "i1"), ("v", "i4"),
     ])
-
-
-def _row_struct(n: int, nz: int) -> struct.Struct:
-    """The packer of one `row_dtype` record; ``x`` and ``zeta`` go in as
-    their arrays' bytes."""
-    return struct.Struct(f"=dqb{8 * n}s{8 * nz}s4di3bi")
 
 
 class _Samples(Sequence):
@@ -552,10 +546,10 @@ def run_closed_loop(
     evenly spaced rows (point mass) at ``(j + i / (F + 1)) * tau_star`` in
     period ``j``, each as the plant's ``row_state`` of it (the Dubins
     heading wrapped as at a jump).  Each row is packed as one `row_dtype`
-    record, and ``xi0``/``xc0`` are copied once on entry.  A re-measure
-    (D3, D5) whose ``x`` is bitwise the one logged two jumps back reuses
-    that jump's objective value (the start is never measured, so a
-    re-measure there calls the objective); noise is drawn at every jump.
+    record, and ``xi0``/``xc0`` are copied once on entry.  Each jump
+    measures through one `core.Meter`, whose count is ``j``, so a re-measure
+    (D3, D5) at the point measured two jumps back reuses its objective value
+    and a non-finite measurement raises `EvaluationError`, as on the walker.
 
     Raises `core.ConfigError` on inputs that break `core.check_run`, as
     `rsp.run` does; its budgets include ``F``, its scales the start ``phi``,
@@ -563,9 +557,7 @@ def run_closed_loop(
     and active directions, the plant's and the objective's ``dimension`` and
     the start's internal state against ``plant.zeta_dimension``.  Raises
     `ValueError` when the plant emits fewer than ``F + 1`` dense rows a
-    period (`ExactPlant` emits one).  Raises `EvaluationError` when a
-    measurement (objective value plus noise) is non-finite, as the walker
-    does.
+    period (`ExactPlant` emits one).
     """
     check_run(cfg, stop, xi0.x, xc0.dirs, xc0.deltas, phi=xc0.phi,
               active_step=xc0.delta, dimension=plant.dimension, active=xc0.v,
@@ -576,17 +568,14 @@ def run_closed_loop(
     xi = xi0.copy()
     xc = xc0.copy()
     n, nz = xi.x.shape[0], xi.zeta.shape[0]
-    pack = _row_struct(n, nz).pack
-    # The x bytes of the points logged one and two jumps back and their
-    # objective values (None for the start, which is not measured).
-    key1, key2 = xi.x.tobytes(), None
-    f1 = f2 = None
+    pack = record_struct(row_dtype(n, nz)).pack
+    meter = Meter(objective, noise)
     # The active direction and its row in ``directions``, which holds each
     # distinct direction once, keyed by its bytes in insertion order.
     v, vi = xc.v, 0
     directions = {v.tobytes(): vi}
-    buf = bytearray(pack(0.0, 0, 0, key1, xi.zeta.tobytes(), math.nan, xc.z,
-                         xc.phi, xc.delta, xc.k, xc.q, xc.p, xc.m, vi))
+    buf = bytearray(pack(0.0, 0, 0, xi.x.tobytes(), xi.zeta.tobytes(), math.nan,
+                         xc.z, xc.phi, xc.delta, xc.k, xc.q, xc.p, xc.m, vi))
     j = cycles = 0
     cap = stop.measurement_cap
     d5 = JumpCase.D5  # read on every jump; a local is cheaper than the class
@@ -597,10 +586,6 @@ def run_closed_loop(
         schedule, _predicted = plant.steer(xi, target, cfg.tau_star)
         collect: Optional[list] = [] if flow_samples_per_period > 0 else None
         xi = plant.integrate(xi, schedule, cfg.tau_star, collect)
-        key = xi.x.tobytes()
-        # A re-measure that lands on the point two jumps back reuses its value.
-        f = f2 if key == key2 else None
-        key2, key1 = key1, key
         if collect is not None:
             stride = len(collect) // (flow_samples_per_period + 1)
             if stride == 0:
@@ -616,20 +601,15 @@ def run_closed_loop(
                             row.zeta.tobytes(), math.nan, xc.z, xc.phi,
                             xc.delta, xc.k, xc.q, xc.p, xc.m, vi)
 
-        j += 1
-        y = float(objective(xi.x)) if f is None else f
-        f2, f1 = f1, y
-        if noise is not None:
-            y += float(noise.sample(j, xc.delta, xc.v))
-        if not math.isfinite(y):
-            raise EvaluationError(xi.x, y)
+        y = meter.measure(xi.x, xc.delta, xc.v)
+        j = meter.count
         case = classify_jump(xc, y)
         xc = jump(xc, y, cfg, case=case)
         if xc.v is not v:
             v = xc.v
             vi = directions.setdefault(v.tobytes(), len(directions))
-        buf += pack(j * cfg.tau_star, j, _CODES[case], key, xi.zeta.tobytes(), y,
-                    xc.z, xc.phi, xc.delta, xc.k, xc.q, xc.p, xc.m, vi)
+        buf += pack(j * cfg.tau_star, j, _CODES[case], meter.key1, xi.zeta.tobytes(),
+                    y, xc.z, xc.phi, xc.delta, xc.k, xc.q, xc.p, xc.m, vi)
         if case is d5 and xc.k == 0:
             cycles += 1
         elif j != cap:

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import build_registered
+from .core import build_registered, finite_number
 
 __all__ = [
     "PlantState",
@@ -220,8 +220,9 @@ class DubinsPlant:
     zeta_dimension = 1
 
     def __init__(self, v_max: float = 10.0, u_max: float = 20.0, substeps: int = 100):
-        if v_max <= 0 or u_max <= 0:
-            raise ValueError("v_max and u_max must be positive")
+        for name, value in (("v_max", v_max), ("u_max", u_max)):
+            if not (finite_number(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         if substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {substeps}")
         self.v_max = v_max

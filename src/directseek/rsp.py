@@ -7,17 +7,17 @@ on failure, and rebuilds its direction set once per cycle from the
 parallel-subspace displacement.  `run` is its one entry point.  Every
 objective measurement is logged so the closed-loop realization in
 `directseek.hybrid` can be checked against this route probe-for-probe.
-The field is evaluated once per distinct measured point: a re-measure that
-lands bitwise on the point measured two before reuses its objective value
-and draws fresh noise.
+Both routes measure through `core.Meter`, which evaluates the field once per
+distinct measured point and draws fresh noise at every measurement.
 
 The log is an `IterateLog`: one fixed-width `log_dtype` record per
-measurement, packed into a byte buffer as the walk runs and read as a numpy
-structured array after it, plus each line minimization's anchor once and a
-table of the directions walked.  Every measured point lies on its line,
-``anchor + s * v``, so a record keeps the scalar ``s``, not the point;
-`IterateLog.points` rebuilds the points bitwise.  No per-measurement object
-outlives its measurement; the log builds an `EvalRecord` per access.
+measurement, packed by `core.record_struct` into a byte buffer as the walk
+runs and read as a numpy structured array after it, plus each line
+minimization's anchor once and a table of the directions walked.  Every
+measured point lies on its line, ``anchor + s * v``, so a record keeps the
+scalar ``s``, not the point; `IterateLog.points` rebuilds the points
+bitwise.  No per-measurement object outlives its measurement; the log
+builds an `EvalRecord` per access.
 
 A cycle over ``n`` directions runs ``n + 1`` line minimizations: the newest
 direction is explored first AND last, and the total displacement accumulated
@@ -26,8 +26,6 @@ over the cycle becomes the candidate that replaces the oldest direction.
 from __future__ import annotations
 
 import array
-import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -38,12 +36,15 @@ from .core import (
     AlgorithmConfig,
     DirectionSet,
     EvaluationError,
+    Meter,
     StopRule,
+    _BudgetExhausted,
     active_slot,
     check_run,
     close_cycle,
     line_end_step,
     line_travel,
+    record_struct,
     rho,
     stop_reason,
 )
@@ -96,19 +97,14 @@ _PROBE_POS, _PROBE_NEG, _REANCHOR, _CLOSE = range(len(KINDS))
 
 def log_dtype(n: int) -> np.dtype:
     """The record of one measurement of an ``n``-D walk, 34 B for every
-    ``n``: packed, in native byte order, field for field what `_log_struct`
-    packs.  ``line`` is the row of `IterateLog.anchors` that holds the line
+    ``n``: packed, in native byte order, as `core.record_struct` packs it.
+    ``line`` is the row of `IterateLog.anchors` that holds the line
     minimization's anchor, and ``s`` the scalar the line's direction was
     multiplied by (a re-anchor's point is the anchor itself)."""
     return np.dtype([
         ("s", "f8"), ("measured", "f8"), ("delta", "f8"),
         ("line", "i4"), ("step", "i4"), ("kind", "i1"), ("accepted", "?"),
     ])
-
-
-def _log_struct(n: int) -> struct.Struct:
-    """The packer of one `log_dtype` record."""
-    return struct.Struct("=3d2ib?")
 
 
 class IterateLog(Sequence):
@@ -197,44 +193,8 @@ class RspState:
         return self.directions.dimension
 
 
-class _BudgetExhausted(Exception):
-    """Internal: the measurement cap was reached mid-stride."""
-
-
-class _Meter:
-    """Counts objective measurements, applies noise, enforces the cap.
-
-    Keeps the field value of the last two measurements under the measured
-    point's ``x.tobytes()``.  A measurement whose bytes equal those of the
-    measurement two before (a re-measure at the anchor or the best point)
-    reuses that value and does not call the objective; noise is still drawn
-    at every measurement.  The start is never measured, so it has no slot.
-    """
-
-    def __init__(self, objective, noise=None, cap: Optional[int] = None):
-        self.objective = objective
-        self.noise = noise
-        self.cap = cap
-        self.count = 0
-        self.key1 = self.key2 = None
-        self.f1 = self.f2 = 0.0
-
-    def measure(self, x: np.ndarray, delta: float, direction: np.ndarray) -> float:
-        if self.cap is not None and self.count >= self.cap:
-            raise _BudgetExhausted
-        self.count += 1
-        key = x.tobytes()
-        y = self.f2 if key == self.key2 else float(self.objective(x))
-        self.key2, self.f2, self.key1, self.f1 = self.key1, self.f1, key, y
-        if self.noise is not None:
-            y += float(self.noise.sample(self.count, delta, direction))
-        if not math.isfinite(y):
-            raise EvaluationError(x, y)
-        return y
-
-
 def _line_minimize(
-    meter: _Meter,
+    meter: Meter,
     anchor: np.ndarray,
     v: np.ndarray,
     delta: float,
@@ -323,9 +283,9 @@ class _Walker:
         self.st = state
         # The returned state must not alias the caller's start.
         state.x = state.x.copy()
-        self.meter = _Meter(objective, noise, cap)
+        self.meter = Meter(objective, noise, cap)
         self.log = bytearray()
-        self.pack = _log_struct(state.dimension).pack
+        self.pack = record_struct(log_dtype(state.dimension)).pack
         self.anchors = bytearray()
         # The directions walked: the start's, then one per cycle close, so
         # slot ``a`` of cycle ``c`` is row ``c + a``.

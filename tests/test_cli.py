@@ -399,11 +399,23 @@ class TestMain:
          "noise model 'adversarial_jam': theta must be in (0, 1), got 1.0"),
         ("fig2_rosenbrock_dubins", "plant",
          {"kind": "dubins", "v_max": -1.0, "u_max": 80.0},
-         "plant 'dubins': v_max and u_max must be positive"),
+         "plant 'dubins': v_max must be a finite number > 0, got -1.0"),
+        # An infinite limit ran to exit 0 (with u_max the plant never
+        # turned), and a NaN u_max failed mid-run with IntegrationError.
+        ("fig2_rosenbrock_dubins", "plant",
+         {"kind": "dubins", "v_max": 10.0, "u_max": math.inf},
+         "plant 'dubins': u_max must be a finite number > 0, got inf"),
+        ("fig2_rosenbrock_dubins", "plant",
+         {"kind": "dubins", "v_max": math.inf, "u_max": 80.0},
+         "plant 'dubins': v_max must be a finite number > 0, got inf"),
+        ("fig2_rosenbrock_dubins", "plant",
+         {"kind": "dubins", "v_max": 10.0, "u_max": math.nan},
+         "plant 'dubins': u_max must be a finite number > 0, got nan"),
         ("fig1_quadratic_pointmass", "objective",
          {"name": "random_spd_quadratic", "dimension": 2, "seed": -1},
          "objective 'random_spd_quadratic': expected non-negative integer"),
-    ], ids=["noise", "plant", "objective"])
+    ], ids=["noise", "plant", "plant-u-max-inf", "plant-v-max-inf",
+            "plant-u-max-nan", "objective"])
     def test_a_rejected_value_names_its_section(self, tmp_path, capsys,
                                                 scenario, section, spec,
                                                 expected):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from directseek import core
+from directseek import core, hybrid, rsp
 from exact_mode import spd_hessian
 
 
@@ -581,3 +581,115 @@ class TestStopReason:
     def test_cap_is_none_without_a_budget(self):
         assert core.StopRule(max_cycles=3, phi_threshold=0.1).measurement_cap is None
         assert core.StopRule(max_evaluations=0).measurement_cap == 0
+
+
+class _ScriptedNoise:
+    """Noise that returns ``values`` in turn and keeps each call's
+    arguments."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+        self.calls = []
+
+    def sample(self, k, delta, direction):
+        self.calls.append((k, delta, direction))
+        return self.values.pop(0)
+
+
+class TestMeter:
+    """`core.Meter` is the measurement rule of both routes."""
+
+    V = np.array([1.0, 0.0])
+
+    @staticmethod
+    def field(calls, value=None):
+        """A 1-D objective that keeps each point it is called at and
+        returns ``value``, or ``1 + x`` when None."""
+        def f(x):
+            calls.append(x.copy())
+            return 1.0 + x[0] if value is None else value
+        return core.ObjectiveFunction("recording", 1, f)
+
+    def test_a_re_measure_two_back_reuses_the_field_value(self):
+        calls = []
+        meter = core.Meter(self.field(calls))
+        points = [0.5, 1.5, 0.5, 1.5, 1.5, -0.0, 2.5, 0.0, 2.5]
+        values = [meter.measure(np.array([p]), 0.5, self.V) for p in points]
+        assert values == [1.0 + p for p in points]
+        # The third, fourth and last land on the point two back; the fifth
+        # only on the one before; 0.0 two after -0.0 has other bytes.
+        assert [repr(x.item()) for x in calls] == [
+            "0.5", "1.5", "1.5", "-0.0", "2.5", "0.0"]
+        assert meter.count == len(points)
+        assert meter.key1 == np.array([2.5]).tobytes()
+
+    def test_a_re_measure_of_the_unmeasured_start_calls_the_objective(self):
+        calls = []
+        meter = core.Meter(self.field(calls))
+        start = np.array([0.0])
+        meter.measure(start + 0.5, 0.5, self.V)
+        assert meter.measure(start, 0.5, self.V) == 1.0
+        assert [x.item() for x in calls] == [0.5, 0.0]
+
+    def test_noise_is_drawn_at_every_measurement(self):
+        calls = []
+        noise = _ScriptedNoise(0.25, -0.5, 0.125)
+        meter = core.Meter(self.field(calls), noise)
+        x = np.array([1.0])
+        assert [meter.measure(x, d, self.V) for d in (0.5, 1.0, 2.0)] == [
+            2.25, 1.5, 2.125]
+        assert [(k, d) for k, d, _ in noise.calls] == [
+            (1, 0.5), (2, 1.0), (3, 2.0)]
+        assert all(v is self.V for _, _, v in noise.calls)
+        # The third measurement is two back from the first.
+        assert len(calls) == 2
+
+    def test_the_cap_raises_before_counting(self):
+        calls = []
+        noise = _ScriptedNoise(0.0, 0.0)
+        meter = core.Meter(self.field(calls), noise, cap=2)
+        for p in (0.5, 1.5):
+            meter.measure(np.array([p]), 0.5, self.V)
+        with pytest.raises(core._BudgetExhausted):
+            meter.measure(np.array([2.5]), 0.5, self.V)
+        assert (meter.count, len(calls), len(noise.calls)) == (2, 2, 2)
+        with pytest.raises(core._BudgetExhausted):
+            core.Meter(self.field(calls), cap=0).measure(
+                np.array([0.5]), 0.5, self.V)
+
+    @pytest.mark.parametrize("value, noise", [
+        (math.nan, None), (math.inf, None), (-math.inf, None),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    ], ids=["f-nan", "f-inf", "f-minus-inf", "noise-nan", "noise-inf",
+            "noise-minus-inf"])
+    def test_a_non_finite_measurement_raises(self, value, noise):
+        x = np.array([0.75])
+        meter = core.Meter(self.field([], value),
+                           None if noise is None else _ScriptedNoise(noise))
+        with pytest.raises(core.EvaluationError) as info:
+            meter.measure(x, 0.5, self.V)
+        assert info.value.point.tobytes() == x.tobytes()
+        want = value + (0.0 if noise is None else noise)
+        assert repr(info.value.value) == repr(want)
+
+
+_X = np.array([1.5, -0.0, 5e-324])
+
+
+class TestRecordStruct:
+    """`core.record_struct` packs each log record its dtype declares."""
+
+    @pytest.mark.parametrize("dtype, record", [
+        (rsp.log_dtype(3),
+         (-0.0, 1e300, 5e-324, 2**31 - 1, -7, len(rsp.KINDS) - 1, True)),
+        (hybrid.row_dtype(3, 0),
+         (0.1 * 2**40, 2**40, len(hybrid.CASES) - 1, _X.tobytes(), b"",
+          -0.0, 1e-300, 0.25, 5e-324, 2**31 - 1, 2, -1, 1, 7)),
+    ], ids=["walker", "arc"])
+    def test_a_record_round_trips(self, dtype, record):
+        (row,) = np.frombuffer(core.record_struct(dtype).pack(*record), dtype)
+        for name, value in zip(dtype.names, record, strict=True):
+            if isinstance(value, bytes):
+                assert row[name].tobytes() == value
+            else:
+                assert repr(row[name].item()) == repr(value)

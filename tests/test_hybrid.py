@@ -724,7 +724,8 @@ class TestArcRecords:
 
     @pytest.mark.parametrize("n, nz", [(1, 0), (2, 1), (4, 0), (7, 3)])
     def test_the_packer_writes_the_record(self, n, nz):
-        assert hybrid._row_struct(n, nz).size == hybrid.row_dtype(n, nz).itemsize
+        dtype = hybrid.row_dtype(n, nz)
+        assert core.record_struct(dtype).size == dtype.itemsize
 
     def test_the_arc_holds_no_per_row_objects(self, monkeypatch):
         gc.collect()

@@ -396,7 +396,8 @@ class TestWalkerLogRecords:
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_the_packer_writes_the_record(self, n):
         # A record keeps its point's line coordinate, not its n coordinates.
-        assert rsp._log_struct(n).size == rsp.log_dtype(n).itemsize == 34
+        dtype = rsp.log_dtype(n)
+        assert core.record_struct(dtype).size == dtype.itemsize == 34
 
     def test_the_log_holds_no_per_measurement_objects(self, monkeypatch):
         state, arc = noisy_robust_walk()
@@ -446,19 +447,24 @@ class TestWalkerLogRecords:
         # made in (cycle, slot, anchor), the probes accepted in that line,
         # and the controller's jump case for that measurement.
         measured, lines = [], []
-        measure, run_slot = rsp._Meter.measure, rsp._Walker.run_slot
+        run_slot = rsp._Walker.run_slot
 
-        def recording_measure(meter, x, delta, direction):
-            y = measure(meter, x, delta, direction)
-            measured.append((meter.count, x.tobytes(), delta, y))
-            return y
+        # Built by the walker only, so the closed loop's measurements are
+        # not recorded.
+        class RecordingMeter(core.Meter):
+            __slots__ = ()
+
+            def measure(self, x, delta, direction):
+                y = super().measure(x, delta, direction)
+                measured.append((self.count, x.tobytes(), delta, y))
+                return y
 
         def recording_run_slot(walker):
             st = walker.st
             lines.append((walker.meter.count, st.cycles, st.k, st.x.tobytes()))
             run_slot(walker)
 
-        monkeypatch.setattr(rsp._Meter, "measure", recording_measure)
+        monkeypatch.setattr(rsp, "Meter", RecordingMeter)
         monkeypatch.setattr(rsp._Walker, "run_slot", recording_run_slot)
         state, arc = noisy_robust_walk()
         log = state.iterate_log
