@@ -65,15 +65,15 @@ _S8 = math.sin(math.pi / 8.0)
 
 
 def _oversized(value, path: str = "") -> list[str]:
-    """The config paths under ``value`` of the integers too large for a
-    float (`finite_number`), such as ``initial.x[0]``."""
+    """The config paths under ``value`` of the integers, not bools, too
+    large for a float (`finite_number`), such as ``initial.x[0]``."""
     if isinstance(value, dict):
         return [p for key, item in value.items()
                 for p in _oversized(item, f"{path}.{key}" if path else key)]
     if isinstance(value, list):
         return [p for i, item in enumerate(value)
                 for p in _oversized(item, f"{path}[{i}]")]
-    if isinstance(value, int) and not finite_number(value):
+    if type(value) is int and not finite_number(value):
         return [path]
     return []
 

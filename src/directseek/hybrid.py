@@ -670,8 +670,8 @@ def equivalence_check(
     measurements can be compared.  Every report also gives
     ``first_case_split``.  Positions and cases are compared column against
     column, in one vectorised pass each: the walker's points are rebuilt by
-    `rsp.IterateLog.points` for the compared prefix only, and no
-    `EvalRecord` is built.
+    `rsp.IterateLog.points` for the compared prefix only, from its derived
+    anchors, and no `EvalRecord` is built.
     """
     rows = arc.jump_rows()
     log = rsp_log.rows

@@ -443,9 +443,9 @@ def jam_demo(
     demonstrating guided escape from the sublevel set.
 
     The audit reads the walker's `rsp.IterateLog` by its columns and its
-    rebuilt `rsp.IterateLog.points`: the rows of the jam phase, their
-    anchors and probes are selected with masks, and no `rsp.EvalRecord` is
-    built.  Each margin is evaluated as
+    derived tables (lines, anchors, rebuilt `rsp.IterateLog.points`): the
+    jam phase's rows, anchors and probes are selected with masks, and no
+    `rsp.EvalRecord` is built.  Each margin is evaluated as
     ``f(probe) + n_s(k) - (f(anchor) + n_s(k-1) - rho(delta))``, in that
     order, at the rebuilt probes and copies of the anchors.
     """
@@ -480,15 +480,15 @@ def jam_demo(
     history = model.history
     jam_end = budget if drag_start is None else min(budget, drag_start - 1)
     log = state.iterate_log
-    rows, anchors, points = log.rows, log.anchors, log.points()
+    rows, lines, anchors, points = log.rows, log.lines, log.anchors, log.points()
     if k_star is not None:
         # Record ``index`` is row number + 1: the rows with index in
         # [k_star, jam_end].
-        post = rows[k_star - 1:jam_end]
+        post, post_lines = rows[k_star - 1:jam_end], lines[k_star - 1:jam_end]
         if k_star <= len(rows):
-            frozen_anchor = anchors[rows["line"][k_star - 1]].copy()
+            frozen_anchor = anchors[lines[k_star - 1]].copy()
             frozen = not post["accepted"].any() and bool(
-                (anchors[post["line"]] == frozen_anchor).all())
+                (anchors[post_lines] == frozen_anchor).all())
         frozen_iterations = len(post)
         kind = post["kind"]
         probes = np.flatnonzero((kind == rsp.KINDS.index("probe_pos"))
@@ -496,7 +496,7 @@ def jam_demo(
         # Fancy indexing copies, so the objective reads whole float64 rows.
         for k, x, anchor, delta in zip(
                 (probes + k_star).tolist(), points[probes + k_star - 1],
-                anchors[post["line"][probes]], post["delta"][probes].tolist()):
+                anchors[post_lines[probes]], post["delta"][probes].tolist()):
             n_k = history[k - 1]
             n_prev = history[k - 2] if k >= 2 else 0.0
             margin = (

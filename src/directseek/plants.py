@@ -24,6 +24,7 @@ conversion step.  Each plant declares the length of its internal state
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -101,6 +102,13 @@ class Segment:
     controls: Sequence[float]
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a ``value`` that is not an integer >= 1; a bool is not."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def wrap_angle(a: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     w = math.remainder(a, math.tau)
@@ -162,10 +170,8 @@ class PointMassPlant:
     zeta_dimension = 0
 
     def __init__(self, dimension: int = 2, substeps: int = 100):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
-        if substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {substeps}")
+        _check_count("dimension", dimension)
+        _check_count("substeps", substeps)
         self.dimension = dimension
         self.substeps = substeps
 
@@ -223,8 +229,7 @@ class DubinsPlant:
         for name, value in (("v_max", v_max), ("u_max", u_max)):
             if not (finite_number(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        if substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {substeps}")
+        _check_count("substeps", substeps)
         self.v_max = v_max
         self.u_max = u_max
         self.substeps = substeps
@@ -307,8 +312,7 @@ class ExactPlant:
     zeta_dimension = 0
 
     def __init__(self, dimension: int = 2):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        _check_count("dimension", dimension)
         self.dimension = dimension
 
     def initial_state(self, x) -> PlantState:

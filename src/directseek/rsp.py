@@ -11,13 +11,13 @@ Both routes measure through `core.Meter`, which evaluates the field once per
 distinct measured point and draws fresh noise at every measurement.
 
 The log is an `IterateLog`: one fixed-width `log_dtype` record per
-measurement, packed by `core.record_struct` into a byte buffer as the walk
-runs and read as a numpy structured array after it, plus each line
-minimization's anchor once and a table of the directions walked.  Every
+measurement, packed by `core.record_struct` in place into one buffer sized
+from the measurement cap, plus the start and the directions walked.  Every
 measured point lies on its line, ``anchor + s * v``, so a record keeps the
-scalar ``s``, not the point; `IterateLog.points` rebuilds the points
-bitwise.  No per-measurement object outlives its measurement; the log
-builds an `EvalRecord` per access.
+scalar ``s``, not the point; each line's anchor, each record's line and step,
+and the points are derived, bitwise, when first asked for.  No
+per-measurement object outlives its measurement; the log builds an
+`EvalRecord` per access.
 
 A cycle over ``n`` directions runs ``n + 1`` line minimizations: the newest
 direction is explored first AND last, and the total displacement accumulated
@@ -25,9 +25,9 @@ over the cycle becomes the candidate that replaces the oldest direction.
 """
 from __future__ import annotations
 
-import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
 class EvalRecord:
     """One objective measurement, as `IterateLog` builds it.
 
@@ -73,21 +72,42 @@ class EvalRecord:
     sufficient-decrease test; ``anchor`` is the best point at the time of the
     measurement; ``index`` is the 1-based global measurement counter.
 
-    ``x`` and ``anchor`` are new arrays with the bytes of the measured point
-    (rebuilt as `IterateLog.points` rebuilds it) and of the line's anchor;
-    changing them leaves the log as it was.
+    ``cycle``, ``slot``, ``step``, ``x`` and ``anchor`` are derived on access
+    from the tables of ``log``.  ``x`` and ``anchor`` are new arrays with the
+    bytes of the measured point (as `IterateLog.points` rebuilds it) and of
+    the line's anchor; changing them leaves the log as it was.
     """
 
-    index: int
-    cycle: int
-    slot: int
-    step: int
-    x: np.ndarray
-    measured: float
-    kind: str
-    accepted: bool
-    anchor: np.ndarray
-    delta: float
+    __slots__ = ("log", "index", "s", "measured", "kind", "accepted", "delta")
+
+    def __init__(self, log: IterateLog, index: int, s: float,
+                 measured: float, kind: str, accepted: bool, delta: float):
+        self.log, self.index, self.s = log, index, s
+        self.measured, self.kind, self.accepted, self.delta = (
+            measured, kind, accepted, delta)
+
+    @property
+    def cycle(self) -> int:
+        return int(self.log.lines[self.index - 1]) // (self.log.start.size + 1)
+
+    @property
+    def slot(self) -> int:
+        return int(self.log.lines[self.index - 1]) % (self.log.start.size + 1)
+
+    @property
+    def step(self) -> int:
+        return int(self.log.steps[self.index - 1])
+
+    @property
+    def anchor(self) -> np.ndarray:
+        return self.log.anchors[self.log.lines[self.index - 1]].copy()
+
+    @property
+    def x(self) -> np.ndarray:
+        if self.kind == "reanchor":
+            return self.anchor
+        log, line = self.log, self.log.lines[self.index - 1]
+        return log.anchors[line] + self.s * log.directions[log.line_directions[line]]
 
 
 # The measurement kind of each code of the log's ``kind`` column.
@@ -96,40 +116,31 @@ _PROBE_POS, _PROBE_NEG, _REANCHOR, _CLOSE = range(len(KINDS))
 
 
 def log_dtype(n: int) -> np.dtype:
-    """The record of one measurement of an ``n``-D walk, 34 B for every
+    """The record of one measurement of an ``n``-D walk, 26 B for every
     ``n``: packed, in native byte order, as `core.record_struct` packs it.
-    ``line`` is the row of `IterateLog.anchors` that holds the line
-    minimization's anchor, and ``s`` the scalar the line's direction was
-    multiplied by (a re-anchor's point is the anchor itself)."""
-    return np.dtype([
-        ("s", "f8"), ("measured", "f8"), ("delta", "f8"),
-        ("line", "i4"), ("step", "i4"), ("kind", "i1"), ("accepted", "?"),
-    ])
+    ``s`` is the scalar the line's direction was multiplied by (a
+    re-anchor's point is the anchor itself)."""
+    return np.dtype([("s", "f8"), ("measured", "f8"), ("delta", "f8"),
+                     ("kind", "i1"), ("accepted", "?")])
 
 
 class IterateLog(Sequence):
     """The walker's measurements: ``rows`` holds one `log_dtype` record per
-    measurement, in order, ``anchors`` one row per line minimization with
-    its anchor, ``directions`` the directions walked (the start's ``n``,
-    then the one each cycle close adds) and ``line_directions`` the row of
-    ``directions`` each line minimization walked.
+    measurement, in order, ``start`` the walk's start and ``directions`` the
+    directions walked (the start's ``n``, then the one each cycle close
+    adds).
 
     Nothing derivable is stored: a record's ``index`` is its row number
-    plus 1, its ``kind`` a code into `KINDS`, and its ``cycle`` and ``slot``
-    follow from ``line``, since a walk runs ``n + 1`` lines per cycle from
-    slot counter 0.  Nor is its point: `points` rebuilds it.  Indexing
-    builds one `EvalRecord` per access (a slice gives a list of them), so
-    ``len`` builds none.
+    plus 1, its ``kind`` a code into `KINDS`, and its line, ``cycle`` (a
+    walk runs ``n + 1`` lines per cycle), ``slot``, ``step``, anchor and
+    point come from the tables below, each built on first use and kept.
+    Indexing builds one `EvalRecord` per access (a slice gives a list of
+    them), which reads its ``kind`` and ``accepted`` without a table.
     """
 
-    __slots__ = ("rows", "anchors", "directions", "line_directions")
-
-    def __init__(self, rows: np.ndarray, anchors: np.ndarray,
-                 directions: np.ndarray, line_directions: np.ndarray) -> None:
-        self.rows = rows
-        self.anchors = anchors
-        self.directions = directions
-        self.line_directions = line_directions
+    def __init__(self, rows: np.ndarray, start: np.ndarray,
+                 directions: np.ndarray) -> None:
+        self.rows, self.start, self.directions = rows, start, directions
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -138,13 +149,37 @@ class IterateLog(Sequence):
         if isinstance(i, slice):
             return [self[k] for k in range(len(self))[i]]
         i = range(len(self))[i]
-        s, measured, delta, line, step, kind, accepted = self.rows[i].item()
-        cycle, slot = divmod(line, self.anchors.shape[1] + 1)
-        anchor = self.anchors[line]
-        x = (anchor.copy() if kind == _REANCHOR else
-             anchor + s * self.directions[self.line_directions[line]])
-        return EvalRecord(i + 1, cycle, slot, step, x, measured, KINDS[kind],
-                          accepted, anchor.copy(), delta)
+        s, measured, delta, kind, accepted = self.rows[i].item()
+        return EvalRecord(self, i + 1, s, measured, KINDS[kind], accepted, delta)
+
+    @cached_property
+    def lines(self) -> np.ndarray:
+        """Each record's line minimization: the ``close`` records before it."""
+        close = self.rows["kind"] == _CLOSE
+        return np.cumsum(close) - close
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """Each record's accepted probes in its line, up to and including it."""
+        accepted = np.cumsum(self.rows["accepted"])
+        before = np.concatenate(([0], accepted[self.rows["kind"] == _CLOSE]))
+        return accepted - before[self.lines]
+
+    @cached_property
+    def line_directions(self) -> np.ndarray:
+        """The row of ``directions`` each line walked (`core.active_slot`)."""
+        n, count = self.start.size, self.lines[-1] + 1 if len(self) else 0
+        cycle, counter = np.divmod(np.arange(count), n + 1)
+        return cycle + np.array([active_slot(c, n) for c in range(n + 1)])[counter]
+
+    @cached_property
+    def anchors(self) -> np.ndarray:
+        """Each line's anchor: the start, then the previous one plus its
+        close's ``s`` times its direction, in the walker's order (bitwise)."""
+        count = len(self.line_directions)
+        lam = self.rows["s"][self.rows["kind"] == _CLOSE][:count - 1]
+        moves = lam[:, None] * self.directions[self.line_directions[:len(lam)]]
+        return np.add.accumulate(np.vstack([self.start, moves]))[:count]
 
     def points(self, stop: Optional[int] = None) -> np.ndarray:
         """The measured points of the first ``stop`` records (all of them
@@ -154,10 +189,9 @@ class IterateLog(Sequence):
         elementwise IEEE operations the walker made, so the rows are bitwise
         the points it measured; a re-anchor's row is its anchor.
         """
-        rows = self.rows[:stop]
-        anchors = self.anchors[rows["line"]]
-        points = anchors + rows["s"][:, None] * self.directions[
-            self.line_directions[rows["line"]]]
+        rows, lines = self.rows[:stop], self.lines[:stop]
+        anchors, v = self.anchors[lines], self.directions[self.line_directions[lines]]
+        points = anchors + rows["s"][:, None] * v
         reanchor = rows["kind"] == _REANCHOR
         points[reanchor] = anchors[reanchor]
         return points
@@ -201,9 +235,7 @@ def _line_minimize(
     z: float,
     phi: float,
     cfg: AlgorithmConfig,
-    log: bytearray,
-    pack,
-    line: int,
+    emit,
 ) -> tuple[float, float, float, np.ndarray]:
     """Walk one direction with expanding steps and sufficient decrease.
 
@@ -211,19 +243,14 @@ def _line_minimize(
     the walker re-measure the anchor and sweep the negative side.  Every trial
     point is computed from the anchor as ``anchor + lam * v`` (never
     incrementally), so rejected probes cannot perturb the iterate.  Each
-    measurement appends one `log_dtype` record to ``log``, packed by
-    ``pack`` with the scalar ``s`` of its point ``anchor + s * v`` (0.0 for
-    the re-anchor, which measures ``anchor`` itself) and ``line``, the row
-    of the anchor in `IterateLog.anchors`.
+    measurement is logged by ``emit(s, measured, delta, kind, accepted)``
+    with the scalar ``s`` of its point ``anchor + s * v`` (0.0 for the
+    re-anchor, which measures ``anchor`` itself).
 
     Returns ``(lam, delta_final, close_value, best_point)`` where
     ``close_value`` is the re-measurement at the best point that ends the
     line minimization.
     """
-
-    def emit(s: float, y: float, kind: int, accepted: bool, step: int,
-             delta_used: float) -> None:
-        log.extend(pack(s, y, delta_used, line, step, kind, accepted))
 
     lam = 0.0
     accepted = 0
@@ -238,16 +265,16 @@ def _line_minimize(
             z = y
             delta = min(cfg.gamma * delta, cfg.lambda_t * phi)
             accepted += 1
-            emit(s, y, _PROBE_POS, True, accepted, delta_used)
+            emit(s, y, delta_used, _PROBE_POS, True)
             continue
-        emit(s, y, _PROBE_POS, False, accepted, delta_used)
+        emit(s, y, delta_used, _PROBE_POS, False)
         break
 
     if accepted == 0:
         # First probe failed: re-anchor, then sweep the negative side.
         y = meter.measure(anchor, delta, v)
         z = y
-        emit(0.0, y, _REANCHOR, False, 0, delta)
+        emit(0.0, y, delta, _REANCHOR, False)
         while True:
             delta_used = delta
             s = lam - delta
@@ -257,15 +284,20 @@ def _line_minimize(
                 z = y
                 delta = min(cfg.gamma * delta, cfg.lambda_t * phi)
                 accepted += 1
-                emit(s, y, _PROBE_NEG, True, accepted, delta_used)
+                emit(s, y, delta_used, _PROBE_NEG, True)
                 continue
-            emit(s, y, _PROBE_NEG, False, accepted, delta_used)
+            emit(s, y, delta_used, _PROBE_NEG, False)
             break
 
     best = anchor + lam * v
     y = meter.measure(best, delta, v)
-    emit(lam, y, _CLOSE, False, accepted, delta)
+    emit(lam, y, delta, _CLOSE, False)
     return lam, delta, y, best
+
+
+# The most bytes a walk's first log buffer takes; a walk with no cap, or with
+# more records than that holds, doubles its buffer whenever it is full.
+_LOG_CEILING = 1 << 19
 
 
 class _Walker:
@@ -283,15 +315,16 @@ class _Walker:
         self.st = state
         # The returned state must not alias the caller's start.
         state.x = state.x.copy()
+        self.start = state.x.copy()
         self.meter = Meter(objective, noise, cap)
-        self.log = bytearray()
-        self.pack = record_struct(log_dtype(state.dimension)).pack
-        self.anchors = bytearray()
+        dtype = log_dtype(state.dimension)
+        self.pack_into = record_struct(dtype).pack_into
+        # Zeroed by calloc, so its pages stay out of RSS until written.
+        self.log = np.zeros(min(self.meter.cap, _LOG_CEILING // dtype.itemsize), dtype)
         # The directions walked: the start's, then one per cycle close, so
         # slot ``a`` of cycle ``c`` is row ``c + a``.
         self.directions = bytearray(
             b"".join(d.tobytes() for d in state.directions.directions))
-        self.line_directions = array.array("i")
 
     # -- one line minimization at the current counter ----------------------
 
@@ -300,8 +333,6 @@ class _Walker:
         c = st.k
         a = active_slot(c, st.dimension)
         v = st.directions.directions[a]
-        self.anchors += st.x.tobytes()
-        self.line_directions.append(st.cycles + a)
         lam, delta_end, z_close, best = _line_minimize(
             self.meter,
             st.x,
@@ -310,14 +341,22 @@ class _Walker:
             st.z,
             st.phi,
             self.cfg,
-            self.log,
-            self.pack,
-            st.cycles * (st.dimension + 1) + c,
+            self.emit,
         )
         st.x = best
         st.z = z_close
         st.evaluations = self.meter.count
         self._close_slot(c, lam, v, delta_end)
+
+    def emit(self, s: float, y: float, delta: float, kind: int, accepted: bool) -> None:
+        """Pack the record of the measurement just made at its row,
+        doubling the buffer first when it is full."""
+        row = self.meter.count - 1
+        if row == len(self.log):
+            grown = np.zeros(2 * row, self.log.dtype)
+            grown[:row] = self.log
+            self.log = grown
+        self.pack_into(self.log, row * self.log.itemsize, s, y, delta, kind, accepted)
 
     # -- end-of-line bookkeeping (the controller's D5 map) ------------------
 
@@ -357,13 +396,10 @@ class _Walker:
             st.evaluations = self.meter.count
 
     def iterate_log(self) -> IterateLog:
-        """The log of the walk so far, built once over its buffers (a
-        numpy view locks a ``bytearray`` against resizing)."""
-        n = self.st.dimension
-        return IterateLog(np.frombuffer(self.log, log_dtype(n)),
-                          np.frombuffer(self.anchors).reshape(-1, n),
-                          np.frombuffer(self.directions).reshape(-1, n),
-                          np.frombuffer(self.line_directions, np.intc))
+        """The log of the walk so far: the filled rows of its buffer (a
+        numpy view locks the direction ``bytearray`` against resizing)."""
+        return IterateLog(self.log[:self.meter.count], self.start,
+                          np.frombuffer(self.directions).reshape(-1, self.start.size))
 
 
 def run(

@@ -372,6 +372,28 @@ class TestMain:
             f"  - {field} is an integer too large for a float"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("scenario, put, message", [
+        ("fig1_quadratic_pointmass",
+         lambda data: data["algorithm"].update(gamma=True),
+         "gamma must be a number, got True"),
+        ("fig2_rosenbrock_dubins",
+         lambda data: data["plant"].update(substeps=True),
+         "plant 'dubins': substeps must be an integer >= 1, got True"),
+    ], ids=["gamma", "substeps"])
+    def test_a_boolean_is_not_a_number(self, tmp_path, capsys, scenario, put,
+                                       message):
+        # A bool is an int: it was reported as an integer too large for a
+        # float, and `substeps: true` ran as one substep.
+        data = cli.scenario_config(scenario).to_dict()
+        put(data)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid configuration:", f"  - {message}"]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("spec, expected", [
         ({"kind": "adversarial_jam", "bound": 0.5, "grad_bound": 1.0,
           "dir_bound": 1.0, "theta": 1.0}, "theta must be in (0, 1), got 1.0"),

@@ -681,7 +681,7 @@ class TestRecordStruct:
 
     @pytest.mark.parametrize("dtype, record", [
         (rsp.log_dtype(3),
-         (-0.0, 1e300, 5e-324, 2**31 - 1, -7, len(rsp.KINDS) - 1, True)),
+         (-0.0, 1e300, 5e-324, len(rsp.KINDS) - 1, True)),
         (hybrid.row_dtype(3, 0),
          (0.1 * 2**40, 2**40, len(hybrid.CASES) - 1, _X.tobytes(), b"",
           -0.0, 1e-300, 0.25, 5e-324, 2**31 - 1, 2, -1, 1, 7)),

@@ -1217,11 +1217,15 @@ class TestCaseSplit:
                                     100)
         assert equivalence_check(arc, log).first_case_split is None
         for i in (37, 0):
-            kind = "reanchor" if log[i].kind == "close" else "close"
-            bad = rsp.IterateLog(log.rows.copy(), log.anchors,
-                                 log.directions, log.line_directions)
+            # A relabel that keeps every record's line (a ``close`` ends
+            # one), so the rebuilt positions are those of ``log``.
+            record = log[i]
+            assert record.kind != "close"
+            kind, accepted = (("probe_neg", False) if record.kind == "reanchor"
+                              else (record.kind, not record.accepted))
+            bad = rsp.IterateLog(log.rows.copy(), log.start, log.directions)
             bad.rows["kind"][i] = rsp.KINDS.index(kind)
-            bad.rows["accepted"][i] = False
+            bad.rows["accepted"][i] = accepted
             report = equivalence_check(arc, bad, min_points=100)
             assert (report.ok, report.first_divergence, report.detail) == (
                 True, None, "")

@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from directseek import cli
+from directseek.core import ConfigError
 from directseek.plants import (
     DubinsPlant,
     ExactPlant,
@@ -521,3 +522,20 @@ class TestRegistry:
     def test_unknown_kind_lists_known(self):
         with pytest.raises(KeyError, match="point_mass"):
             get_plant("hovercraft")
+
+    @pytest.mark.parametrize("kind, params", [
+        ("point_mass", {"substeps": True}),
+        ("point_mass", {"dimension": True}),
+        ("point_mass", {"substeps": 2.5}),
+        ("point_mass", {"substeps": 0}),
+        ("dubins", {"substeps": True}),
+        ("exact", {"dimension": True}),
+        ("exact", {"dimension": 0}),
+    ])
+    def test_counts_are_integers_of_at_least_one(self, kind, params):
+        # A bool is an int, so True passed `>= 1` and ran as 1.
+        (name, value), = params.items()
+        with pytest.raises(ConfigError) as info:
+            get_plant(kind, **params)
+        assert info.value.violations == [
+            f"plant '{kind}': {name} must be an integer >= 1, got {value!r}"]

@@ -2,6 +2,7 @@
 decrease, cycle mechanics, step-size laws, the conjugate-direction update,
 and the exact-minimization oracle (`exact_mode`) behind the
 quadratic-termination checks."""
+import collections
 import copy
 import gc
 import hashlib
@@ -321,8 +322,8 @@ class TestIterateLog:
             assert record.x.tobytes() == snapshot.tobytes()
         for record in log:
             assert record.x is not x0 and record.anchor is not x0
-        # Each record's anchor is its line's row of the anchor table.
-        lines = log.rows["line"]
+        # Each record's anchor is its derived line's row of the anchor table.
+        lines = log.lines
         for record, line in zip(log, lines):
             assert record.anchor.tobytes() == log.anchors[line].tobytes()
         reanchors = [r for r in log if r.kind == "reanchor"]
@@ -359,20 +360,25 @@ class TestIterateLog:
         assert_same_records(before, state.iterate_log)
 
 
+def noisy_robust_walker(stop, noise=None):
+    """The walker of `noisy_robust_walk` under ``stop``: its final state."""
+    n = 4
+    return rsp.run(core.make_random_spd_quadratic(dimension=n, seed=0),
+                   np.zeros(n), AlgorithmConfig(lambda_s=0.1, phi_min=0.001),
+                   stop, directions=DirectionSet(list(np.eye(n)), [0.5] * n),
+                   noise=BoundedRandomNoise(1e-6, seed=0) if noise is None
+                   else noise)
+
+
 def noisy_robust_walk(jumps=2000, noise=None):
     """Both routes on the 4-D noisy robust quadratic of `walker_noisy`,
     over ``jumps`` measurements: ``(state, arc)``.  ``noise`` is the
     walker's model, a fresh one of that bound and seed if not given."""
     n = 4
-    if noise is None:
-        noise = BoundedRandomNoise(1e-6, seed=0)
+    state = noisy_robust_walker(StopRule(max_evaluations=jumps), noise)
     objective = core.make_random_spd_quadratic(dimension=n, seed=0)
     cfg = AlgorithmConfig(lambda_s=0.1, phi_min=0.001)
     axes = [np.eye(n)[i] for i in range(n)]
-    state = rsp.run(objective, np.zeros(n), cfg,
-                    StopRule(max_evaluations=jumps),
-                    directions=DirectionSet(axes, [0.5] * n),
-                    noise=noise)
     arc = hybrid.run_closed_loop(
         ExactPlant(n), objective, PlantState(np.zeros(n)),
         hybrid.make_controller(axes, [0.5] * n, 1.0), cfg,
@@ -385,19 +391,20 @@ def counting_records(monkeypatch) -> list:
     built = []
     real = rsp.EvalRecord
     monkeypatch.setattr(rsp, "EvalRecord",
-                        lambda *args: built.append(args) or real(*args))
+                        lambda log, index, *fields: built.append(index)
+                        or real(log, index, *fields))
     return built
 
 
 class TestWalkerLogRecords:
-    """The walker keeps one packed record per measurement and each line's
-    anchor once, and builds no object per measurement."""
+    """The walker keeps one packed record per measurement, the start and
+    the directions walked, and builds no object per measurement."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_the_packer_writes_the_record(self, n):
         # A record keeps its point's line coordinate, not its n coordinates.
         dtype = rsp.log_dtype(n)
-        assert core.record_struct(dtype).size == dtype.itemsize == 34
+        assert core.record_struct(dtype).size == dtype.itemsize == 26
 
     def test_the_log_holds_no_per_measurement_objects(self, monkeypatch):
         state, arc = noisy_robust_walk()
@@ -412,8 +419,8 @@ class TestWalkerLogRecords:
             held = tracemalloc.get_traced_memory()[0]
             rows = log.rows
             nbytes, itemsize = rows.nbytes, rows.dtype.itemsize
-            records, anchors = len(rows), log.anchors.nbytes
-            table = log.directions.nbytes + log.line_directions.nbytes
+            records = len(rows)
+            table = log.start.nbytes + log.directions.nbytes
             built = counting_records(monkeypatch)
             assert len(log) == 2000
             assert hybrid.equivalence_check(arc, log, tol=1e-9,
@@ -432,10 +439,10 @@ class TestWalkerLogRecords:
         finally:
             tracemalloc.stop()
         assert (records, nbytes) == (2000, 2000 * itemsize)
-        # The records, the anchor and direction tables, each line's
-        # direction row and the buffers' slack; a record object per
-        # measurement would hold several times the records.
-        assert nbytes + anchors + table <= retained <= 2 * nbytes
+        # The records, the start, the direction table and its slack; a
+        # record object per measurement would hold several times the
+        # records.
+        assert nbytes + table <= retained <= 2 * nbytes
         # The noise history is 8 B per measurement and the buffer's slack;
         # a list of floats holds about 33 B per measurement.
         assert samples == 2000
@@ -497,6 +504,70 @@ class TestWalkerLogRecords:
                           AlgorithmConfig(), 0.5, budget=280, drag_start=200)
         assert report.frozen_iterations > 0 and report.escaped is not None
         assert built == []
+
+
+class TestLogBuffer:
+    """The walker packs each record in place at its measurement's row of one
+    buffer, first sized for the measurement cap (at most
+    `rsp._LOG_CEILING` bytes) and doubled when full; what a record does
+    not store is derived only when asked for."""
+
+    def test_an_uncapped_walk_doubles_its_buffer(self, monkeypatch):
+        unpatched = noisy_robust_walker(StopRule(max_cycles=60)).iterate_log
+        count = len(unpatched)
+        first = 64
+        monkeypatch.setattr(rsp, "_LOG_CEILING",
+                            first * rsp.log_dtype(4).itemsize)
+        log = noisy_robust_walker(StopRule(max_cycles=60)).iterate_log
+        # Grown from 64 rows by doubling, at least four times.
+        assert len(log.rows.base) == first * 2 ** math.ceil(
+            math.log2(count / first)) >= 16 * first
+        rerun = noisy_robust_walker(StopRule(max_evaluations=count)).iterate_log
+        for other in (unpatched, rerun):
+            assert log.rows.tobytes() == other.rows.tobytes()
+            assert log.points().tobytes() == other.points().tobytes()
+            assert log.directions.tobytes() == other.directions.tobytes()
+
+    def test_a_capped_walk_fills_one_buffer(self):
+        log = noisy_robust_walker(StopRule(max_evaluations=300)).iterate_log
+        assert len(log) == len(log.rows.base) == 300
+
+    def test_a_huge_cap_allocates_at_most_the_ceiling(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            state = noisy_robust_walker(
+                StopRule(max_cycles=1, max_evaluations=10**12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.stopped == "max_cycles" and len(state.iterate_log) > 5
+        assert len(state.iterate_log.rows.base) * 26 <= rsp._LOG_CEILING
+        assert peak < 1_000_000
+
+    def test_reading_kinds_builds_no_table(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            noise = BoundedRandomNoise(1e-6, seed=0)
+            log = noisy_robust_walker(StopRule(max_evaluations=20_000),
+                                      noise).iterate_log
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cases = collections.Counter((r.kind, r.accepted) for r in log)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        # The walk leaves its records, the start, the direction table and
+        # the noise history; the per-line anchors are not kept.
+        assert len(log) == sum(cases.values()) == 20_000
+        assert live <= 800_000
+        # Counting cases builds no point and no derived table.
+        assert not {"lines", "steps", "anchors", "line_directions"} & set(
+            vars(log))
+        assert peak < 64 * 1024
+        assert set(cases) == set(hybrid.WALKER_CASES)
 
 
 def recording_walk(objective, x0, cfg, stop, directions, noise, **kwargs):
